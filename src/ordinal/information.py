@@ -39,7 +39,7 @@ class AtomDistribution:
         return frozenset(self.probs)
 
     def block_prob(self, block) -> float:
-        return sum(self.probs[a] for a in block)
+        return math.fsum(map(self.probs.__getitem__, block))
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,20 @@ def _require_same_ground(part: Partition, ground: frozenset[str]):
 
 
 def partition_entropy(part: Partition, d: AtomDistribution) -> float:
-    """Shannon entropy of the block probabilities, in bits."""
+    """Shannon entropy of the block probabilities, in bits.
+
+    Sums are taken with ``math.fsum``, which rounds correctly and so does not
+    depend on the order of the blocks; that order follows the string hash
+    seed, so a plain sum could change in the last digit from run to run.
+    """
     _require_same_ground(part, d.ground_set())
-    h = 0.0
+    terms = []
     for block in part.blocks:
         prob = d.block_prob(block)
         if prob > 0.0:
-            h -= prob * math.log2(prob)
-    return max(h, 0.0)
+            terms.append(prob * math.log2(prob))
+    # 0.0 - x turns a zero sum of either sign into +0.0
+    return max(0.0 - math.fsum(terms), 0.0)
 
 
 def common_refinement(a: Partition, b: Partition) -> Partition:

@@ -5,6 +5,8 @@ from the cover relation and stored as one bitmask row per element, with bit
 positions laid out in topological order. That layout makes order tests O(1)
 and joins/meets a couple of bitmask operations: the least upper bound of a
 pair, when it exists, is the lowest set bit of the intersected up-sets.
+Joins and meets are computed from the masks on every call and are never
+memoised, so a poset's memory stays at its two mask tables.
 All query results come back in canonical (lexicographic) element order,
 which pins witness selection and keeps reports deterministic.
 
@@ -15,6 +17,7 @@ Conventions:
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +50,21 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def _unknown(element: str) -> UnknownElement:
+    return UnknownElement(f"element {element!r} is not in the poset")
+
+
+def _every_meet(down: list[int]) -> bool:
+    """Does every pair of positions have a greatest lower bound? See
+    ``Poset.meet`` for the test."""
+    for q, dq in enumerate(down):
+        for dp in down[:q]:
+            m = dq & dp
+            if down[m.bit_length() - 1] != m:
+                return False
+    return True
+
+
 class Poset:
     """Validated finite poset; construct via :func:`build_poset` or a generator."""
 
@@ -56,17 +74,14 @@ class Poset:
         self.covers: tuple[tuple[str, str], ...] = tuple(covers)
         self._index = {e: i for i, e in enumerate(self.elements)}
         # order[pos] = lexicographic index of the element at topological
-        # position pos; _tp is the inverse. Masks live in position space.
-        self._order = order
-        self._tp = [0] * len(order)
-        for pos, i in enumerate(order):
-            self._tp[i] = pos
+        # position pos. Masks live in position space; _at and _pos map
+        # positions to elements and back.
+        self._at = [self.elements[i] for i in order]
+        self._pos = {e: pos for pos, e in enumerate(self._at)}
         self._up_t = up_t
         self._down_t = down_t
         self._full = (1 << len(self.elements)) - 1
         self._certificate: LatticeCertificate | None = None
-        self._join_cache: dict[tuple[int, int], int] = {}
-        self._meet_cache: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -81,12 +96,21 @@ class Poset:
         try:
             return self._index[element]
         except KeyError:
-            raise UnknownElement(f"element {element!r} is not in the poset") from None
+            raise _unknown(element) from None
+
+    def _position(self, element: str) -> int:
+        try:
+            return self._pos[element]
+        except KeyError:
+            raise _unknown(element) from None
 
     def leq(self, x: str, y: str) -> bool:
         """True iff x is included by y."""
-        return bool(self._up_t[self._tp[self.index(x)]]
-                    >> self._tp[self.index(y)] & 1)
+        up, pos = self._up_t, self._pos
+        try:
+            return bool(up[pos[x]] >> pos[y] & 1)
+        except KeyError:
+            raise _unknown(x if x not in pos else y) from None
 
     def upper_bound(self, s: Iterable[str]) -> list[str]:
         """Every z with x <= z for all x in s (reflexive), canonical order."""
@@ -96,14 +120,14 @@ class Poset:
         return self._ids(self._bound_mask(s, self._down_t))
 
     def _ids(self, mask: int) -> list[str]:
-        return [self.elements[i] for i in sorted(self._order[p] for p in _bits(mask))]
+        return sorted(self._at[p] for p in _bits(mask))
 
     def _bound_mask(self, s: Iterable[str], rows: list[int]) -> int:
         mask = self._full
         empty = True
         for x in s:
             empty = False
-            mask &= rows[self._tp[self.index(x)]]
+            mask &= rows[self._position(x)]
         if empty:
             raise ValueError("bound of an empty element set is not defined")
         return mask
@@ -114,56 +138,48 @@ class Poset:
     def _maximal_positions(self, mask: int) -> list[int]:
         return [p for p in _bits(mask) if self._up_t[p] & mask == 1 << p]
 
-    def _join_index(self, ix: int, iy: int) -> int:
-        if ix > iy:
-            ix, iy = iy, ix
-        cached = self._join_cache.get((ix, iy))
-        if cached is not None:
-            return cached
-        mask = self._up_t[self._tp[ix]] & self._up_t[self._tp[iy]]
-        # the lowest position in the up-set intersection is minimal; it is
-        # the least element exactly when it sits below the whole intersection
-        low = (mask & -mask).bit_length() - 1
-        if mask == 0 or self._up_t[low] & mask != mask:
-            count = len(self._minimal_positions(mask))
-            raise NoUniqueBound(
-                f"join of {self.elements[ix]!r} and {self.elements[iy]!r}: "
-                f"{count} minimal upper bounds")
-        result = self._order[low]
-        self._join_cache[(ix, iy)] = result
-        return result
-
-    def _meet_index(self, ix: int, iy: int) -> int:
-        if ix > iy:
-            ix, iy = iy, ix
-        cached = self._meet_cache.get((ix, iy))
-        if cached is not None:
-            return cached
-        mask = self._down_t[self._tp[ix]] & self._down_t[self._tp[iy]]
-        high = mask.bit_length() - 1
-        if mask == 0 or self._down_t[high] & mask != mask:
-            count = len(self._maximal_positions(mask))
-            raise NoUniqueBound(
-                f"meet of {self.elements[ix]!r} and {self.elements[iy]!r}: "
-                f"{count} maximal lower bounds")
-        result = self._order[high]
-        self._meet_cache[(ix, iy)] = result
-        return result
+    # An intersection of up-sets is up-closed, so it holds its lowest
+    # position's whole up-set; that position is the least element exactly
+    # when its up-set is the whole intersection. An empty intersection never
+    # equals a row, since every row holds its own bit. Dually for meets.
+    # join and meet are the hot path of every audit, so each does its own
+    # lookups in one frame.
 
     def join(self, x: str, y: str) -> str:
         """Unique least upper bound; NoUniqueBound when absent or ambiguous."""
-        return self.elements[self._join_index(self.index(x), self.index(y))]
+        up, pos = self._up_t, self._pos
+        try:
+            mask = up[pos[x]] & up[pos[y]]
+        except KeyError:
+            raise _unknown(x if x not in pos else y) from None
+        low = (mask & -mask).bit_length() - 1
+        if up[low] != mask:
+            a, b = sorted((x, y))
+            raise NoUniqueBound(f"join of {a!r} and {b!r}: "
+                                f"{len(self._minimal_positions(mask))} minimal upper bounds")
+        return self._at[low]
 
     def meet(self, x: str, y: str) -> str:
-        return self.elements[self._meet_index(self.index(x), self.index(y))]
+        down, pos = self._down_t, self._pos
+        try:
+            mask = down[pos[x]] & down[pos[y]]
+        except KeyError:
+            raise _unknown(x if x not in pos else y) from None
+        high = mask.bit_length() - 1
+        if down[high] != mask:
+            a, b = sorted((x, y))
+            raise NoUniqueBound(f"meet of {a!r} and {b!r}: "
+                                f"{len(self._maximal_positions(mask))} maximal lower bounds")
+        return self._at[high]
+
+    # A bottom sits below everything, so it must take the first topological
+    # position, and a top the last.
 
     def bottom(self) -> str | None:
-        minimal = self._minimal_positions(self._full)
-        return self.elements[self._order[minimal[0]]] if len(minimal) == 1 else None
+        return self._at[0] if self._full and self._up_t[0] == self._full else None
 
     def top(self) -> str | None:
-        maximal = self._maximal_positions(self._full)
-        return self.elements[self._order[maximal[0]]] if len(maximal) == 1 else None
+        return self._at[-1] if self._full and self._down_t[-1] == self._full else None
 
     def is_lattice(self) -> LatticeCertificate:
         """Check join/meet uniqueness for every pair; witness the first failure."""
@@ -172,14 +188,21 @@ class Poset:
         return self._certificate
 
     def _certify(self) -> LatticeCertificate:
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(i + 1, n):
+        # A finite poset with a top is a lattice iff every pair has a meet
+        # (the join of x and y is the meet of their upper bounds), so one
+        # meet scan decides. A non-empty poset without a top has two maximal
+        # elements with no join, so no dual scan could pass. Only a failure,
+        # or a poset without a top, pays for the lexicographic join+meet scan
+        # that picks the canonical witness.
+        if self.top() is not None and _every_meet(self._down_t):
+            return LatticeCertificate(True)
+        for i, x in enumerate(self.elements):
+            for y in self.elements[i + 1:]:
                 try:
-                    self._join_index(i, j)
-                    self._meet_index(i, j)
+                    self.join(x, y)
+                    self.meet(x, y)
                 except NoUniqueBound:
-                    return LatticeCertificate(False, (self.elements[i], self.elements[j]))
+                    return LatticeCertificate(False, (x, y))
         return LatticeCertificate(True)
 
     def _require_lattice(self):
@@ -187,34 +210,27 @@ class Poset:
         if not cert.is_lattice:
             raise NotALattice(f"poset is not a lattice, witness pair {cert.witness}")
 
-    def join_irreducibles(self) -> list[str]:
-        """Elements no pair of strictly smaller elements joins to; bottom excluded."""
+    def _irreducibles(self) -> tuple[list[str], list[str]]:
         self._require_lattice()
-        out = []
-        for i, x in enumerate(self.elements):
-            below = [self._order[p]
-                     for p in _bits(self._down_t[self._tp[i]] & ~(1 << self._tp[i]))]
-            if not below:
-                continue  # bottom
-            reducible = any(self._join_index(a, b) == i
-                            for ai, a in enumerate(below) for b in below[ai:])
-            if not reducible:
-                out.append(x)
-        return sorted(out)
+        lower, upper = Counter(), Counter()
+        for a, b in self.covers:
+            upper[a] += 1
+            lower[b] += 1
+        return ([x for x in self.elements if lower[x] == 1],
+                [x for x in self.elements if upper[x] == 1])
+
+    def join_irreducibles(self) -> list[str]:
+        """Elements no pair of strictly smaller elements joins to; bottom excluded.
+
+        In a finite lattice these are the elements with exactly one lower
+        cover: two lower covers of x join to x, and below a single lower
+        cover c every join of smaller elements stays at or under c.
+        """
+        return self._irreducibles()[0]
 
     def meet_irreducibles(self) -> list[str]:
-        self._require_lattice()
-        out = []
-        for i, x in enumerate(self.elements):
-            above = [self._order[p]
-                     for p in _bits(self._up_t[self._tp[i]] & ~(1 << self._tp[i]))]
-            if not above:
-                continue  # top
-            reducible = any(self._meet_index(a, b) == i
-                            for ai, a in enumerate(above) for b in above[ai:])
-            if not reducible:
-                out.append(x)
-        return sorted(out)
+        """Elements with exactly one upper cover; the dual of join-irreducibles."""
+        return self._irreducibles()[1]
 
     def to_dict(self) -> dict:
         return {"elements": list(self.elements),
@@ -294,20 +310,20 @@ def _topological_order(n, succ, pred, ids) -> list[int]:
 def verify_consistency_relations(p: Poset):
     """Audit x <= y  <=>  (x v y = y and x ^ y = x) over all ordered pairs.
 
-    A valid lattice always passes; the report exists as a self-audit oracle.
+    A valid lattice always passes; the report exists as a self-audit oracle
+    of the public ``leq``, ``join`` and ``meet``.
     """
     p._require_lattice()
+    leq, join, meet = p.leq, p.join, p.meet
     violations = []
-    checked = 0
     for x in p.elements:
         for y in p.elements:
-            checked += 1
-            structural = p.leq(x, y)
-            operational = p.join(x, y) == y and p.meet(x, y) == x
+            structural = leq(x, y)
+            operational = join(x, y) == y and meet(x, y) == x
             if structural != operational:
                 violations.append(RuleViolation(
                     (x, y), float(structural), float(operational), 1.0))
-    return build_report("consistency", checked, 0, violations)
+    return build_report("consistency", len(p.elements) ** 2, 0, violations)
 
 
 # --- generators ---

@@ -144,8 +144,13 @@ def coordinatize(e: Event, chains: Sequence[ObserverChain]) -> tuple[int, ...]:
 def check_synchronized(p: ObserverChain, q: ObserverChain,
                        index_range: tuple[int, int]) -> bool:
     """Do successive elements of each chain project onto successive elements
-    of the other, across the given index window? A constant offset is fine."""
+    of the other, across the given index window? A constant offset is fine.
+
+    An empty window (``hi < lo``) would pass vacuously, so it raises
+    ValueError instead."""
     lo, hi = index_range
+    if hi < lo:
+        raise ValueError(f"empty index window [{lo}, {hi}]")
     for a, b in ((p, q), (q, p)):
         previous = None
         for i in range(lo, hi + 1):

@@ -239,6 +239,13 @@ def test_spacetime_sync(scene_path, capsys):
     assert code == 1 and json.loads(out)["synchronized"] is False
 
 
+def test_spacetime_sync_empty_window_is_a_usage_error(scene_path, capsys):
+    code, out, err = invoke(capsys, "spacetime", "sync", "--scene", scene_path,
+                            "--chains", "P,Q", "--range", "5,2", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "empty index window" in err
+
+
 def test_spacetime_interval_invariant_across_frames(scene_path, capsys):
     code, out, _ = invoke(capsys, "spacetime", "interval", "--scene", scene_path,
                           "--events", "e1,e2", "--frames", "rest,k=3/2,k=2",

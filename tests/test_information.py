@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ordinal
 from ordinal import (AtomDistribution, GroundSetMismatch, Partition,
                      common_refinement, mutual_information, partition_entropy,
                      partition_lattice)
@@ -147,3 +151,21 @@ def test_mutual_information_is_the_sum_rule_on_the_partition_lattice():
                         + partition_entropy(parts[y], d)
                         - partition_entropy(parts[meet_id], d))
             assert rep.mi == pytest.approx(expected, abs=1e-12)
+
+
+def test_entropy_does_not_depend_on_the_hash_seed():
+    # block order follows the string hash seed, so compare two interpreters
+    script = ("from ordinal import AtomDistribution, Partition, "
+              "mutual_information, partition_entropy\n"
+              "d = AtomDistribution({a: w / 28 for w, a in enumerate('abcdefg', 1)})\n"
+              "a, b = Partition.parse('ab|cd|ef|g'), Partition.parse('a|bc|de|fg')\n"
+              "print(repr(partition_entropy(a, d)), repr(partition_entropy(b, d)),\n"
+              "      repr(mutual_information(a, b, d)))\n")
+    src = os.path.dirname(os.path.dirname(ordinal.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True, timeout=60).stdout)
+    assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -105,10 +106,9 @@ def test_transitive_reduction_equals_covers(b3, p3):
         assert reduced == set(p.covers)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(min_value=1, max_value=7), st.data())
-def test_builder_reproduces_any_random_dag_order(n, data):
-    # draw a random DAG on n nodes (edges only point upward in node order)
+def random_dag_order(n, data):
+    """Reachability and transitive reduction of a random DAG on n nodes."""
+    # edges only point upward in node order
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)
              if data.draw(st.booleans())}
     # brute-force reflexive-transitive closure, then its reduction
@@ -124,6 +124,13 @@ def test_builder_reproduces_any_random_dag_order(n, data):
     reduction = {(a, b) for (a, b) in reach if a != b
                  and not any(z not in (a, b) and (a, z) in reach and (z, b) in reach
                              for z in range(n))}
+    return reach, reduction
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_builder_reproduces_any_random_dag_order(n, data):
+    reach, reduction = random_dag_order(n, data)
     ids = [f"n{i}" for i in range(n)]
     p = build_poset(ids, [(ids[a], ids[b]) for a, b in reduction])
     for i in range(n):
@@ -221,6 +228,64 @@ def test_certificate_witness_consistency():
         LatticeCertificate(False, None)
 
 
+def brute_witness(p):
+    """Lexicographically first pair without a unique join or meet, read from
+    the bound sets; None for a lattice."""
+    for i, x in enumerate(p.elements):
+        for y in p.elements[i + 1:]:
+            upper, lower = p.upper_bound([x, y]), p.lower_bound([x, y])
+            least = [z for z in upper if all(p.leq(z, w) for w in upper)]
+            greatest = [z for z in lower if all(p.leq(w, z) for w in lower)]
+            if len(least) != 1 or len(greatest) != 1:
+                return (x, y)
+    return None
+
+
+def without(p, drop):
+    return build_poset([e for e in p.elements if e != drop],
+                       [c for c in p.covers if drop not in c])
+
+
+def assert_certificate_matches_brute_force(p):
+    cert = p.is_lattice()
+    assert cert.witness == brute_witness(p)
+    assert cert.is_lattice == (cert.witness is None)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: without(boolean_lattice("abcd"), "{a,b,c,d}"),
+    lambda: without(boolean_lattice("abcd"), "{}"),
+    lambda: build_poset("pqrs", [("p", "r"), ("p", "s"), ("q", "r"), ("q", "s")]),
+    lambda: build_poset("0abc1", [("0", "a"), ("0", "b"), ("0", "c"),
+                                  ("a", "1"), ("b", "1"), ("c", "1")]),  # M3
+    lambda: build_poset("0abc1", [("0", "a"), ("a", "b"), ("b", "1"),
+                                  ("0", "c"), ("c", "1")]),  # N5
+], ids=["B4-no-top", "B4-no-bottom", "bowtie", "M3", "N5"])
+def test_certificate_matches_brute_force_on_fixed_posets(factory):
+    assert_certificate_matches_brute_force(factory())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_certificate_matches_brute_force_on_random_posets(n, data):
+    _, reduction = random_dag_order(n, data)
+    # labels in random order, so lexicographic and topological order differ
+    ids = data.draw(st.permutations("abcdefg"))[:n]
+    assert_certificate_matches_brute_force(
+        build_poset(ids, [(ids[a], ids[b]) for a, b in reduction]))
+
+
+def test_certifying_b10_keeps_no_per_pair_storage():
+    p = boolean_lattice("abcdefghij")
+    tracemalloc.start()
+    try:
+        assert p.is_lattice().is_lattice
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # --- consistency relations self-audit ---
 
 def test_consistency_divisors_of_12():
@@ -231,6 +296,14 @@ def test_consistency_divisors_of_12():
         for b in p.elements:
             assert p.join(a, b) == str(math.lcm(int(a), int(b)))
             assert p.meet(a, b) == str(math.gcd(int(a), int(b)))
+
+
+def test_consistency_audits_the_public_join(monkeypatch):
+    p = divisor_lattice(12)
+    join = p.join
+    monkeypatch.setattr(p, "join", lambda x, y: "12" if (x, y) == ("2", "4") else join(x, y))
+    report = verify_consistency_relations(p)
+    assert [(v.instance, v.lhs, v.rhs) for v in report.violations] == [(("2", "4"), 1.0, 0.0)]
 
 
 def test_consistency_powerset_of_three(b3):
@@ -283,6 +356,31 @@ def test_chain_irreducibles_are_all_non_bottom():
 def test_irreducibles_require_lattice(bowtie):
     with pytest.raises(NotALattice):
         bowtie.join_irreducibles()
+
+
+def brute_irreducibles(p, op, below):
+    """Elements that are not op of two strictly smaller (in ``below``'s
+    sense) elements; an element with nothing smaller is excluded."""
+    out = []
+    for x in p.elements:
+        smaller = [z for z in p.elements if z != x and below(z, x)]
+        if smaller and not any(op(a, b) == x for a in smaller for b in smaller):
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: boolean_lattice("abcd"),
+    lambda: partition_lattice("abcd"),
+    lambda: divisor_lattice(60),
+    lambda: chain_poset([str(i) for i in range(6)]),
+    lambda: lattice_product(partition_lattice("abc"), chain_poset("012")),
+], ids=["B4", "P4", "D60", "chain", "P3xC3"])
+def test_irreducibles_match_their_definition(factory):
+    p = factory()
+    assert p.join_irreducibles() == brute_irreducibles(p, p.join, p.leq)
+    assert p.meet_irreducibles() == brute_irreducibles(
+        p, p.meet, lambda z, x: p.leq(x, z))
 
 
 # --- lattice laws by brute force ---

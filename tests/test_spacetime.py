@@ -141,6 +141,11 @@ def test_synchronization_needs_quantifiable_window():
                            (0, 5))
 
 
+def test_empty_synchronization_window_is_rejected():
+    with pytest.raises(ValueError, match="empty index window"):
+        check_synchronized(rest_chain(0), rest_chain(4), (5, 2))
+
+
 # --- intervals ---
 
 def test_interval_pair_rest_frame():
