@@ -8,7 +8,7 @@ from .errors import (BoundExceeded, CycleDetected, GroundSetMismatch,
                      NoUniqueBound, NotALattice, NotQuantifiable,
                      NotSynchronized, OrdinalError, RedundantCover,
                      TooManyAtoms, UnknownElement, ZeroMeasureContext)
-from .information import (AtomDistribution, RelevanceReport, common_refinement,
+from .information import (AtomDistribution, RelevanceReport,
                           mutual_information, partition_entropy)
 from .partitions import Partition, all_partitions
 from .poset import (LatticeCertificate, Poset, boolean_lattice, build_poset,
@@ -18,8 +18,8 @@ from .poset import (LatticeCertificate, Poset, boolean_lattice, build_poset,
 from .report import RuleReport, RuleViolation
 from .spacetime import (Boost, Event, IntervalPair, ObserverChain, boost_frame,
                         causal_grid, causal_grid_poset, causal_leq,
-                        check_synchronized, coordinatize, decompose,
-                        interval_pair, interval_scalar, project)
+                        check_synchronized, coordinatize, interval_pair,
+                        project)
 from .valuation import (BiValuation, Valuation, bivaluation_from_valuation,
                         check_bivaluation_sum_rule, check_chain_rule,
                         check_context_product_rule, check_diamond_lemma,
@@ -39,9 +39,9 @@ __all__ = [
     "causal_leq", "chain_poset", "check_bivaluation_sum_rule",
     "check_chain_rule", "check_context_product_rule", "check_diamond_lemma",
     "check_monotone", "check_product_rule_for_lattice_product",
-    "check_sum_rule", "check_synchronized", "common_refinement",
-    "coordinatize", "decompose", "derive_valuation_from_atoms",
-    "divisor_lattice", "interval_pair", "interval_scalar", "lattice_product",
-    "mutual_information", "pair_id", "parse_subset_id", "partition_entropy",
-    "partition_lattice", "project", "subset_id", "verify_consistency_relations",
+    "check_sum_rule", "check_synchronized", "coordinatize",
+    "derive_valuation_from_atoms", "divisor_lattice", "interval_pair",
+    "lattice_product", "mutual_information", "pair_id", "parse_subset_id",
+    "partition_entropy", "partition_lattice", "project", "subset_id",
+    "verify_consistency_relations",
 ]

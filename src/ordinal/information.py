@@ -64,10 +64,12 @@ class RelevanceReport:
                 "H_joint": self.h_joint, "I": self.mi}
 
 
-def _require_same_ground(part: Partition, ground: frozenset[str]):
-    if part.ground_set() != ground:
-        raise GroundSetMismatch(
-            f"partition {part.literal()!r} does not cover the distribution atoms")
+def _require_same_ground(d: AtomDistribution, *parts: Partition):
+    ground = d.ground_set()
+    for part in parts:
+        if part.ground_set() != ground:
+            raise GroundSetMismatch(
+                f"partition {part.literal()!r} does not cover the distribution atoms")
 
 
 def partition_entropy(part: Partition, d: AtomDistribution) -> float:
@@ -77,7 +79,11 @@ def partition_entropy(part: Partition, d: AtomDistribution) -> float:
     depend on the order of the blocks; that order follows the string hash
     seed, so a plain sum could change in the last digit from run to run.
     """
-    _require_same_ground(part, d.ground_set())
+    _require_same_ground(d, part)
+    return _entropy(part, d)
+
+
+def _entropy(part: Partition, d: AtomDistribution) -> float:
     terms = []
     for block in part.blocks:
         prob = d.block_prob(block)
@@ -87,19 +93,16 @@ def partition_entropy(part: Partition, d: AtomDistribution) -> float:
     return max(0.0 - math.fsum(terms), 0.0)
 
 
-def common_refinement(a: Partition, b: Partition) -> Partition:
-    """The joint question: all non-empty pairwise block intersections."""
-    return a.common_refinement(b)
-
-
 def mutual_information(a: Partition, b: Partition,
                        d: AtomDistribution) -> RelevanceReport:
-    """I(A;B) = H(A) + H(B) - H(joint), with the joint via common refinement."""
-    ground = d.ground_set()
-    _require_same_ground(a, ground)
-    _require_same_ground(b, ground)
-    h_a = partition_entropy(a, d)
-    h_b = partition_entropy(b, d)
-    h_joint = partition_entropy(common_refinement(a, b), d)
+    """I(A;B) = H(A) + H(B) - H(joint), with the joint via common refinement.
+
+    The joint question refines both, so it covers the same atoms and needs
+    no check of its own.
+    """
+    _require_same_ground(d, a, b)
+    h_a = _entropy(a, d)
+    h_b = _entropy(b, d)
+    h_joint = _entropy(a.common_refinement(b), d)
     return RelevanceReport(h_a=h_a, h_b=h_b, h_joint=h_joint,
                            mi=h_a + h_b - h_joint)

@@ -23,6 +23,16 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
+def _numbers(mapping, path, what: str) -> dict:
+    """A JSON object whose values are all numbers (not strings or booleans)."""
+    if not isinstance(mapping, dict) or not mapping:
+        raise OrdinalError(f"{path} does not hold {what} mapping")
+    for key, value in mapping.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise OrdinalError(f"{path}: {key!r} maps to {value!r}, not a number")
+    return mapping
+
+
 def load_poset(path) -> Poset:
     """Read ``{"elements": [...], "covers": [[lower, upper], ...]}``."""
     doc = _load_json(path)
@@ -48,9 +58,7 @@ def poset_to_dot(p: Poset) -> str:
 
 def load_atom_values(path) -> dict:
     """A plain ``{"atom": weight}`` mapping."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or not doc:
-        raise OrdinalError(f"{path} does not hold an atom-weight mapping")
+    doc = _numbers(_load_json(path), path, "an atom-weight")
     return {str(k): v for k, v in doc.items()}
 
 
@@ -63,8 +71,8 @@ def load_valuation(path) -> Valuation:
     try:
         poset_path = Path(path).parent / doc["poset"]
         mode = doc.get("mode", "atoms")
-        values = doc["values"]
-    except (KeyError, TypeError) as exc:
+        values = _numbers(doc["values"], path, "a values")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise OrdinalError(f"malformed valuation document {path}: {exc}") from exc
     poset = load_poset(poset_path)
     if mode == "atoms":
@@ -77,9 +85,9 @@ def load_valuation(path) -> Valuation:
 def load_distribution(path) -> AtomDistribution:
     """Read ``{"probs": {"a": 0.5, ...}}``."""
     doc = _load_json(path)
-    if "probs" not in doc:
+    if not isinstance(doc, dict) or "probs" not in doc:
         raise OrdinalError(f"{path} lacks a 'probs' mapping")
-    return AtomDistribution(doc["probs"])
+    return AtomDistribution(_numbers(doc["probs"], path, "a 'probs'"))
 
 
 def parse_rational(value) -> Fraction:
@@ -120,24 +128,29 @@ class Scene:
 def load_scene(path) -> Scene:
     """Read a scene document; all rationals are strings like ``"3/4"``."""
     doc = _load_json(path)
-    events = {}
-    for entry in doc.get("events", []):
-        events[str(entry["id"])] = Event(parse_rational(entry["t"]),
-                                         parse_rational(entry["x"]))
-    chains = {}
-    for entry in doc.get("chains", []):
-        origin = entry.get("origin", {"t": 0, "x": 0})
-        lo, hi = entry.get("range", [0, 100])
-        chains[str(entry["id"])] = ObserverChain(
-            origin=Event(parse_rational(origin["t"]), parse_rational(origin["x"])),
-            k=parse_rational(entry.get("k", 1)),
-            tick=parse_rational(entry.get("tick", 1)),
-            index_range=(int(lo), int(hi)),
-            label=str(entry["id"]))
-    frames = {}
-    for entry in doc.get("frames", []):
-        a, b = entry["chains"]
-        frames[str(entry["id"])] = (str(a), str(b))
+    if not isinstance(doc, dict):
+        raise OrdinalError(f"malformed scene document {path}: not a JSON object")
+    try:
+        events = {}
+        for entry in doc.get("events", []):
+            events[str(entry["id"])] = Event(parse_rational(entry["t"]),
+                                             parse_rational(entry["x"]))
+        chains = {}
+        for entry in doc.get("chains", []):
+            origin = entry.get("origin", {"t": 0, "x": 0})
+            lo, hi = entry.get("range", [0, 100])
+            chains[str(entry["id"])] = ObserverChain(
+                origin=Event(parse_rational(origin["t"]), parse_rational(origin["x"])),
+                k=parse_rational(entry.get("k", 1)),
+                tick=parse_rational(entry.get("tick", 1)),
+                index_range=(int(lo), int(hi)),
+                label=str(entry["id"]))
+        frames = {}
+        for entry in doc.get("frames", []):
+            a, b = entry["chains"]
+            frames[str(entry["id"])] = (str(a), str(b))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise OrdinalError(f"malformed scene document {path}: {exc}") from exc
     missing = [f for f, (a, b) in frames.items()
                if a not in chains or b not in chains]
     if missing:

@@ -222,16 +222,6 @@ def interval_pair(e1: Event, e2: Event, p: ObserverChain, q: ObserverChain,
                         q.label_of(j2) - q.label_of(j1))
 
 
-def decompose(ip: IntervalPair) -> tuple[Fraction, Fraction]:
-    """Split (dp, dq) into the symmetric part dt and antisymmetric part dx."""
-    return ip.dt, ip.dx
-
-
-def interval_scalar(ip: IntervalPair) -> Fraction:
-    """The invariant scalar dp * dq = dt^2 - dx^2."""
-    return ip.ds2
-
-
 @dataclass(frozen=True)
 class Boost:
     """Multiplicative rescaling of light-cone components between frames."""
@@ -242,14 +232,6 @@ class Boost:
         object.__setattr__(self, "k", _frac(self.k))
         if self.k <= 0:
             raise NonPositiveBoost(f"boost factor must be positive, got {self.k}")
-
-    @property
-    def beta(self) -> Fraction:
-        return (self.k ** 2 - 1) / (self.k ** 2 + 1)
-
-    @property
-    def gamma(self) -> Fraction:
-        return (self.k ** 2 + 1) / (2 * self.k)
 
     def apply(self, ip: IntervalPair) -> IntervalPair:
         return IntervalPair(self.k * ip.dp, ip.dq / self.k)

@@ -12,12 +12,24 @@ lattice structure has to satisfy:
 
 All audits are pure and run in whatever arithmetic the values carry:
 floats with an explicit tolerance, or Fractions with tolerance 0 for exact
-fixtures. Contexts with zero measure are skipped and counted, never errors.
+fixtures. A tolerance must be finite and non-negative; a NaN or infinite one
+would pass anything. Contexts with zero measure are skipped and counted.
+
+All but the product rule run on one kernel in element-index space: values
+become rows indexed by element, one per context, and join/meet become index
+tables built per call. When every defined value is a Fraction, each row is
+scaled to the lcm of its denominators and the kernel tests integers: a
+difference d at scale S violates iff |d| > floor(tol * S), which is exactly
+|lhs - rhs| > tol. Any other values are tested as they are, with the same
+operations as a plain loop, so float residuals are bit-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product, repeat
+from operator import add, mul, sub
 from typing import Mapping, Union
 
 from .errors import (LatticeMismatch, NegativeAtomValue, UnknownElement,
@@ -80,44 +92,130 @@ def derive_valuation_from_atoms(lat: Poset, atom_values: Mapping[str, Value]) ->
     return Valuation(lat, values)
 
 
+# --- the audit kernel ---
+
+# An undefined entry: arithmetic with it stays undefined, so an instance is
+# skipped exactly when one of its terms is.
+_UNDEFINED = type("Undefined", (), dict.fromkeys(
+    ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"),
+    lambda self, other: self))()
+
+
+def _require_tolerance(tol) -> None:
+    if isinstance(tol, float) and not math.isfinite(tol) or not tol >= 0:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
+def _view(p: Poset, table: Mapping[tuple[str, str], Value], tol) -> tuple:
+    """(raw, rows, scale, bound) of a table keyed (element, context).
+
+    raw[t][x] is the value at (x, t), or _UNDEFINED. If every defined value
+    is a Fraction, rows[t] is raw[t] in integers, times scale[t], the lcm of
+    its denominators, and bound(s) is floor(tol * s); otherwise rows is raw,
+    scale is 1 and bound(s) is tol.
+    """
+    _require_tolerance(tol)
+    raw = [[_UNDEFINED] * len(p) for _ in p.elements]
+    for (x, t), value in table.items():
+        if value is not None:
+            raw[p._index[t]][p._index[x]] = value
+    if not all(type(e) is Fraction for e in table.values() if e is not None):
+        return raw, raw, [1] * len(p), lambda s: tol
+    scale = [math.lcm(*(e.denominator for e in row if e is not _UNDEFINED)) for row in raw]
+    rows = [[e if e is _UNDEFINED else e.numerator * (s // e.denominator) for e in row]
+            for row, s in zip(raw, scale)]
+    num, den = Fraction(tol).as_integer_ratio()
+    return raw, rows, scale, lambda s: num * s // den
+
+
+def _kernel(rule, tol, p, view, keys, block, instance, signed=False) -> RuleReport:
+    """Test one rule's instances, block by block, and report its violations.
+
+    ``block(rows, scale, key)`` gives a block's lhs and rhs streams and their
+    scale; ``instance(key, k)`` the element indices of its k-th instance.
+    A block with violations is evaluated once more on the raw values, which
+    gives the violations' sides in the values' own arithmetic.
+    """
+    raw, rows, scale, bound = view
+    checked = skipped = 0
+    violations = []
+    for key in keys:
+        lhs, rhs, s = block(rows, scale, key)
+        above = bound(s)
+        below = -math.inf if signed else -above
+        found = []
+        for k, d in enumerate(map(sub, lhs, rhs)):
+            if d is _UNDEFINED:
+                skipped += 1
+                continue
+            checked += 1
+            if d > above or d < below:
+                found.append(k)
+        if found:
+            sides = list(zip(*block(raw, [1] * len(raw), key)[:2]))
+            for k in found:
+                a, b = sides[k]
+                ids = tuple(p.elements[i] for i in instance(key, k))
+                violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
+    return build_report(rule, checked, tol, violations, skipped)
+
+
+def _table(p: Poset, op) -> list[list[int]]:
+    """n x n element indices of op(x, y), op being p.join or p.meet."""
+    p._require_lattice()
+    return [[p._index[op(x, y)] for y in p.elements] for x in p.elements]
+
+
+def _times(stream, s):
+    """The stream times s; at scale 1 the values pass through untouched."""
+    return stream if s == 1 else map(mul, stream, repeat(s))
+
+
+def _sum_rule(rule: str, p: Poset, view, contexts, tol) -> RuleReport:
+    """The sum rule in each context row; instances are (x, y) or (t, x, y)."""
+    n = len(p)
+    xs = [x for x in range(n) for _ in range(x + 1, n)]
+    ys = [y for x in range(n) for y in range(x + 1, n)]
+    joins, meets = ([op[x][y] for x, y in zip(xs, ys)]
+                    for op in (_table(p, p.join), _table(p, p.meet)))
+
+    def block(rows, scale, t):
+        at = rows[t].__getitem__
+        return (map(add, map(at, joins), map(at, meets)),
+                map(add, map(at, xs), map(at, ys)), scale[t])
+    return _kernel(rule, tol, p, view, contexts, block,
+                   lambda t, k: (xs[k], ys[k]) if rule == "sum" else (t, xs[k], ys[k]))
+
+
+def _valuation_view(v: Valuation, tol) -> tuple:
+    """A view with v as the row of the first context, and the keys of that row."""
+    p = v.poset
+    view = _view(p, {(x, p.elements[0]): value for x, value in v.values.items()}, tol)
+    return view, range(min(len(p), 1))
+
+
+# --- valuations ---
+
 def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit v(x v y) + v(x ^ y) = v(x) + v(y) over all unordered pairs."""
-    p = v.poset
-    p._require_lattice()
-    violations = []
-    checked = 0
-    n = len(p.elements)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = p.elements[i], p.elements[j]
-            checked += 1
-            lhs = v(p.join(x, y)) + v(p.meet(x, y))
-            rhs = v(x) + v(y)
-            residual = abs(lhs - rhs)
-            if residual > tol:
-                violations.append(RuleViolation((x, y), lhs, rhs, residual))
-    return build_report("sum", checked, tol, violations)
+    return _sum_rule("sum", v.poset, *_valuation_view(v, tol), tol)
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     """Audit x <= y  =>  v(x) <= v(y)."""
-    p = v.poset
-    violations = []
-    checked = 0
-    for x in p.elements:
-        for y in p.elements:
-            if x != y and p.leq(x, y):
-                checked += 1
-                gap = v(x) - v(y)
-                if gap > tol:
-                    violations.append(RuleViolation((x, y), v(x), v(y), gap))
-    return build_report("monotone", checked, tol, violations)
+    p, (view, keys) = v.poset, _valuation_view(v, tol)
+    pairs = [(i, j) for i, x in enumerate(p.elements)
+             for j, y in enumerate(p.elements) if x != y and p.leq(x, y)]
+    return _kernel("monotone", tol, p, view, keys, lambda rows, scale, t: (
+        (rows[t][x] for x, _ in pairs), (rows[t][y] for _, y in pairs), scale[t]),
+        lambda _, k: pairs[k], signed=True)
 
 
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
                                            vPQ: Valuation,
                                            tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit v((x, y)) = v(x) * v(y) on the product of vP's and vQ's lattices."""
+    _require_tolerance(tol)
     if len(vPQ.poset) != len(vP.poset) * len(vQ.poset):
         raise LatticeMismatch("product valuation size does not match |P| * |Q|")
     violations = []
@@ -135,6 +233,8 @@ def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
                 violations.append(RuleViolation((x, y), lhs, rhs, residual))
     return build_report("product", checked, tol, violations)
 
+
+# --- bi-valuations ---
 
 @dataclass(frozen=True)
 class BiValuation:
@@ -195,89 +295,43 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
-    p = w.poset
-    violations = []
-    checked = skipped = 0
-    for z in p.elements:
-        below_z = p.lower_bound([z])
-        for y in below_z:
-            for x in p.lower_bound([y]):
-                wxz, wxy, wyz = w.get(x, z), w.get(x, y), w.get(y, z)
-                if wxz is None or wxy is None or wyz is None:
-                    skipped += 1
-                    continue
-                checked += 1
-                rhs = wxy * wyz
-                residual = abs(wxz - rhs)
-                if residual > tol:
-                    violations.append(RuleViolation((x, y, z), wxz, rhs, residual))
-    return build_report("chain", checked, tol, violations, skipped)
+    p, view = w.poset, _view(w.poset, w.table, tol)
+    down = [[p._index[x] for x in p.lower_bound([y])] for y in p.elements]
+
+    def block(rows, scale, key):  # x runs over the elements below y
+        z, y = key
+        return (_times(map(rows[z].__getitem__, down[y]), scale[y]),
+                map(mul, map(rows[y].__getitem__, down[y]), repeat(rows[z][y])),
+                scale[z] * scale[y])
+    keys = ((z, y) for z in range(len(p)) for y in down[z])
+    return _kernel("chain", tol, p, view, keys, block,
+                   lambda key, k: (down[key[1]][k], *key[::-1]))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
-    p = w.poset
-    p._require_lattice()
-    violations = []
-    checked = skipped = 0
-    for x in p.elements:
-        for y in p.elements:
-            lhs = w.get(y, x)
-            rhs = w.get(p.meet(x, y), x)
-            if lhs is None or rhs is None:
-                skipped += 1
-                continue
-            checked += 1
-            residual = abs(lhs - rhs)
-            if residual > tol:
-                violations.append(RuleViolation((x, y), lhs, rhs, residual))
-    return build_report("diamond", checked, tol, violations, skipped)
+    p, view = w.poset, _view(w.poset, w.table, tol)
+    meet = _table(p, p.meet)
+    return _kernel("diamond", tol, p, view, range(len(p)), lambda rows, scale, x: (
+        rows[x], map(rows[x].__getitem__, meet[x]), scale[x]), lambda x, y: (x, y))
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered triples."""
-    p = w.poset
-    p._require_lattice()
-    violations = []
-    checked = skipped = 0
-    for x in p.elements:
-        for y in p.elements:
-            xy = p.meet(x, y)
-            wyx = w.get(y, x)
-            for z in p.elements:
-                lhs = w.get(p.meet(y, z), x)
-                wz = w.get(z, xy)
-                if lhs is None or wz is None or wyx is None:
-                    skipped += 1
-                    continue
-                checked += 1
-                rhs = wz * wyx
-                residual = abs(lhs - rhs)
-                if residual > tol:
-                    violations.append(RuleViolation((x, y, z), lhs, rhs, residual))
-    return build_report("context", checked, tol, violations, skipped)
+    p, view = w.poset, _view(w.poset, w.table, tol)
+    meet = _table(p, p.meet)
+
+    def block(rows, scale, key):  # z runs over all elements
+        x, y = key
+        xy = meet[x][y]
+        return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
+                map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
+    keys = product(range(len(p)), repeat=2)
+    return _kernel("context", tol, p, view, keys, block, lambda key, z: (*key, z))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y)."""
     p = w.poset
-    p._require_lattice()
-    violations = []
-    checked = skipped = 0
-    n = len(p.elements)
-    for t in w.contexts():
-        for i in range(n):
-            for j in range(i + 1, n):
-                x, y = p.elements[i], p.elements[j]
-                parts = (w.get(p.join(x, y), t), w.get(p.meet(x, y), t),
-                         w.get(x, t), w.get(y, t))
-                if any(part is None for part in parts):
-                    skipped += 1
-                    continue
-                checked += 1
-                lhs = parts[0] + parts[1]
-                rhs = parts[2] + parts[3]
-                residual = abs(lhs - rhs)
-                if residual > tol:
-                    violations.append(RuleViolation((t, x, y), lhs, rhs, residual))
-    return build_report("bisum", checked, tol, violations, skipped)
+    return _sum_rule("bisum", p, _view(p, w.table, tol),
+                     [p._index[t] for t in w.contexts()], tol)

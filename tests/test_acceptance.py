@@ -177,7 +177,8 @@ def test_criterion_7_interval_invariance_from_projections():
             assert ip == boost.apply(rest)
             beta = (k ** 2 - 1) / (k ** 2 + 1)
             gamma = (k ** 2 + 1) / (2 * k)
-            assert boost.beta == beta
+            chain = ObserverChain(origin=Event(0, 0), k=k)
+            assert (chain.beta, chain.gamma) == (beta, gamma)
             assert ip.dt == gamma * (rest.dt + beta * rest.dx)
             assert ip.dx == gamma * (rest.dx + beta * rest.dt)
 

@@ -1,0 +1,192 @@
+"""The index-space audit kernel against the plain loops it replaced.
+
+``reference_audits`` keeps the straightforward loops over element ids. The
+kernel's reports must equal theirs in ``to_dict()`` (compared as canonical
+JSON, so 1 and 1.0 differ) and in ``text_lines()``, on floats, ints,
+Fractions and mixtures, with zero-weight atoms, holes and perturbations.
+The golden files hold ``ordinal rules audit`` output made by those loops.
+"""
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_audits as ref
+from ordinal import (Valuation, bivaluation_from_valuation, boolean_lattice,
+                     build_poset, chain_poset, check_bivaluation_sum_rule,
+                     check_chain_rule, check_context_product_rule,
+                     check_diamond_lemma, check_monotone,
+                     check_product_rule_for_lattice_product, check_sum_rule,
+                     derive_valuation_from_atoms, divisor_lattice,
+                     partition_lattice)
+from ordinal.cli import run
+from ordinal.serialize import dumps_canonical
+from ordinal.valuation import BiValuation
+
+GOLDEN = Path(__file__).parent / "golden" / "audit"
+
+VALUATION_RULES = [(check_sum_rule, ref.check_sum_rule),
+                   (check_monotone, ref.check_monotone)]
+BIVALUATION_RULES = [(check_bivaluation_sum_rule, ref.check_bivaluation_sum_rule),
+                     (check_chain_rule, ref.check_chain_rule),
+                     (check_diamond_lemma, ref.check_diamond_lemma),
+                     (check_context_product_rule, ref.check_context_product_rule)]
+
+
+def assert_same_report(kernel, reference):
+    assert dumps_canonical(kernel.to_dict()) == dumps_canonical(reference.to_dict())
+    assert kernel.text_lines() == reference.text_lines()
+
+
+def assert_audits_agree(v, w, tol):
+    for check, reference in VALUATION_RULES:
+        assert_same_report(check(v, tol), reference(v, tol))
+    for check, reference in BIVALUATION_RULES:
+        assert_same_report(check(w, tol), reference(w, tol))
+
+
+# --- differential tests ---
+
+KINDS = ("float", "int", "fraction", "mixed")
+
+
+def number(kind, max_value=6):
+    if kind == "float":
+        return st.floats(min_value=0, max_value=max_value, allow_nan=False,
+                         allow_infinity=False)
+    if kind == "int":
+        return st.integers(min_value=0, max_value=max_value)
+    return st.fractions(min_value=0, max_value=max_value, max_denominator=12)
+
+
+tolerances = st.sampled_from([0, 1e-9, 0.05, Fraction(1, 20), Fraction(1, 7)])
+
+
+@st.composite
+def audited_inputs(draw):
+    """A valuation on B1-B5 and its bi-valuation, possibly perturbed."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(KINDS))
+    lat = boolean_lattice("abcde"[:n])
+    weights = draw(st.lists(number(kind), min_size=n, max_size=n))
+    if draw(st.booleans()):  # a zero-weight atom makes zero-measure contexts
+        weights[draw(st.integers(0, n - 1))] *= 0
+    v = derive_valuation_from_atoms(lat, dict(zip("abcde", weights)))
+    if kind == "mixed":  # one float among Fractions, and an int bottom
+        e = draw(st.sampled_from(lat.elements))
+        v = v.replace(e, float(v(e)))
+    if draw(st.booleans()):  # a shifted valuation
+        e = draw(st.sampled_from(lat.elements))
+        v = v.replace(e, v(e) + draw(number(kind, 2)))
+    tol = draw(tolerances)
+    w = bivaluation_from_valuation(v, tol, validate=False)
+    for _ in range(draw(st.integers(0, 3))):  # with_value: changed, new or undefined
+        x, t = draw(st.sampled_from(lat.elements)), draw(st.sampled_from(lat.elements))
+        w = w.with_value(x, t, draw(st.none() | number(kind, 2)))
+    return v, w, tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(audited_inputs())
+def test_kernel_matches_reference_loops(case):
+    assert_audits_agree(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["P3", "P4", "D60", "C4"]), st.data())
+def test_kernel_matches_reference_on_other_lattices(name, data):
+    lat = {"P3": partition_lattice("abc"), "P4": partition_lattice("abcd"),
+           "D60": divisor_lattice(60), "C4": chain_poset("wxyz")}[name]
+    kind = data.draw(st.sampled_from(KINDS))
+    values = data.draw(st.lists(number(kind), min_size=len(lat), max_size=len(lat)))
+    v = Valuation(lat, dict(zip(lat.elements, values)))
+    tol = data.draw(tolerances)
+    assert_audits_agree(v, bivaluation_from_valuation(v, tol, validate=False), tol)
+
+
+def test_chain_rule_on_a_poset_that_is_not_a_lattice(bowtie):
+    # the chain rule needs no joins or meets; a hole and an exact table
+    table = {(x, t): Fraction(1, 1 + len(x + t)) for x in "pqrs" for t in "pqrs"
+             if bowtie.leq(x, t)}
+    table[("p", "s")] = None
+    for w in (BiValuation(bowtie, table),
+              BiValuation(bowtie, {k: float(v or 0) for k, v in table.items()})):
+        for tol in (0, 1e-9):
+            assert_same_report(check_chain_rule(w, tol), ref.check_chain_rule(w, tol))
+
+
+def test_audits_of_an_empty_poset_check_nothing():
+    empty = build_poset([], [])
+    assert_audits_agree(Valuation(empty, {}), BiValuation(empty, {}), 0)
+
+
+def test_exact_bivaluations_agree_at_the_tolerance_boundary():
+    # residuals equal to the tolerance pass, residuals just above it fail
+    lat = boolean_lattice("abc")
+    v = derive_valuation_from_atoms(lat, {"a": Fraction(1, 3), "b": Fraction(2, 5),
+                                          "c": Fraction(4, 7)})
+    w = bivaluation_from_valuation(v, 0)
+    w = w.with_value("{a}", "{a,b}", w.get("{a}", "{a,b}") + Fraction(1, 10))
+    for tol in (Fraction(1, 10), Fraction(1, 10) - Fraction(1, 10 ** 12), 0.1,
+                Fraction(1, 20), 0):
+        assert_audits_agree(v, w, tol)
+        assert check_diamond_lemma(w, tol).passed == (tol >= Fraction(1, 10))
+
+
+# --- tolerances ---
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9,
+                                 Fraction(-1, 2)])
+def test_vacuous_tolerances_are_rejected(tol):
+    lat = boolean_lattice("ab")
+    v = Valuation(lat, {"{}": 0.0, "{a}": 1.0, "{b}": 1.0, "{a,b}": 3.0})
+    w = bivaluation_from_valuation(v, validate=False)
+    for check in (check_sum_rule, check_monotone):
+        with pytest.raises(ValueError, match="tolerance"):
+            check(v, tol)
+    for check, _ in BIVALUATION_RULES:
+        with pytest.raises(ValueError, match="tolerance"):
+            check(w, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_product_rule_for_lattice_product(v, v, v, tol)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_rules_audit_rejects_vacuous_tolerance(tmp_path, capsys, tol):
+    (tmp_path / "b3.json").write_text((GOLDEN / "b3.json").read_text())
+    (tmp_path / "broken.json").write_text(
+        '{"{}": 0, "{a}": 1, "{b}": 1, "{c}": 1, "{a,b}": 2, "{a,c}": 2,'
+        ' "{b,c}": 2, "{a,b,c}": 7}')
+    code = run(["rules", "audit", "--poset", str(tmp_path / "b3.json"),
+                "--values", str(tmp_path / "broken.json"), f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("ordinal: error: tolerance")
+
+
+# --- golden output ---
+
+GOLDEN_RUNS = {
+    "b3": (0, ["--poset", "b3.json", "--atoms", "w3.json"]),
+    "b4": (0, ["--poset", "b4.json", "--atoms", "w4.json"]),
+    "b5": (0, ["--poset", "b5.json", "--atoms", "w5.json"]),
+    "b6": (0, ["--poset", "b6.json", "--atoms", "w6.json"]),
+    "b3-tol0": (1, ["--poset", "b3.json", "--atoms", "w3.json", "--tol", "0"]),
+    "b4-tol0": (1, ["--poset", "b4.json", "--atoms", "w4.json", "--tol", "0"]),
+    "b4-shifted": (1, ["--poset", "b4.json", "--values", "shifted4.json", "--rules",
+                       "sum,bisum,chain,diamond,context,monotone"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_rules_audit_output_is_unchanged(capsys, monkeypatch, name, fmt):
+    # the weights sum exactly in floats, so the output does not depend on
+    # the order in which atom weights are added
+    code, argv = GOLDEN_RUNS[name]
+    monkeypatch.chdir(GOLDEN)
+    assert run(["rules", "audit", *argv, "--format", fmt]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / f"{name}.{fmt}.out").read_text()

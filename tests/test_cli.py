@@ -286,6 +286,37 @@ def test_spacetime_interval_single_chain_pair(scene_path, capsys):
     assert json.loads(out)["rows"][0]["ds2"] == "3"
 
 
+# --- malformed documents ---
+
+MALFORMED = {
+    "scene event without id": (
+        "scene.json", {**BOOST_SCENE, "events": [{"t": "0", "x": "0"}]},
+        ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+         "--frames", "rest"]),
+    "scene that is a list": (
+        "scene.json", [BOOST_SCENE],
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q",
+         "--range", "0,10"]),
+    "string atom weights": (
+        "atoms.json", {"a": "1", "b": "2"},
+        ["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json"]),
+    "string probabilities": (
+        "dist.json", {"probs": {"a": "0.5", "b": "0.5"}},
+        ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_an_input_error(tmp_path, monkeypatch, capsys, case):
+    name, doc, argv = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lat.json").write_text(json.dumps(boolean_lattice("ab").to_dict()))
+    (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("ordinal: error")
+
+
 # --- harness behavior ---
 
 def test_output_is_deterministic(scene_path, capsys):

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ordinal
 from ordinal import (AtomDistribution, GroundSetMismatch, Partition,
-                     common_refinement, mutual_information, partition_entropy,
-                     partition_lattice)
+                     mutual_information, partition_entropy, partition_lattice)
 
 
 def direct_mutual_information(a, b, d):
@@ -131,7 +130,7 @@ def test_refining_a_partition_never_loses_entropy(raw, assignment):
     total = sum(raw)
     d = AtomDistribution({a: v / total for a, v in zip(atoms, raw)})
     coarse = Partition.from_blocks(_group(atoms, assignment).values())
-    fine = common_refinement(coarse, Partition.from_blocks([["w", "x"], ["y", "z"]]))
+    fine = coarse.common_refinement(Partition.from_blocks([["w", "x"], ["y", "z"]]))
     assert fine.refines(coarse)
     assert partition_entropy(fine, d) >= partition_entropy(coarse, d) - 1e-12
 
