@@ -33,15 +33,28 @@ def _numbers(mapping, path, what: str) -> dict:
     return mapping
 
 
+def _strings(value, size=None) -> bool:
+    """Is value a list of strings, of the given size if one is given?"""
+    return (isinstance(value, list) and all(isinstance(e, str) for e in value)
+            and size in (None, len(value)))
+
+
 def load_poset(path) -> Poset:
-    """Read ``{"elements": [...], "covers": [[lower, upper], ...]}``."""
+    """Read ``{"elements": [...], "covers": [[lower, upper], ...]}``.
+
+    Elements are non-empty strings; each cover is a list of two of them.
+    """
     doc = _load_json(path)
-    try:
-        elements = doc["elements"]
-        covers = [tuple(c) for c in doc["covers"]]
-    except (KeyError, TypeError) as exc:
-        raise OrdinalError(f"malformed poset document {path}: {exc}") from exc
-    return build_poset(elements, covers)
+    if not isinstance(doc, dict):
+        raise OrdinalError(f"malformed poset document {path}: not a JSON object")
+    elements, covers = doc.get("elements"), doc.get("covers")
+    if not _strings(elements) or not all(elements):
+        raise OrdinalError(f"malformed poset document {path}: "
+                           "'elements' must be a list of non-empty strings")
+    if not isinstance(covers, list) or not all(_strings(c, 2) for c in covers):
+        raise OrdinalError(f"malformed poset document {path}: "
+                           "'covers' must be a list of [lower, upper] string pairs")
+    return build_poset(elements, [tuple(c) for c in covers])
 
 
 def poset_to_dot(p: Poset) -> str:
@@ -75,10 +88,13 @@ def load_valuation(path) -> Valuation:
     except (KeyError, TypeError, AttributeError) as exc:
         raise OrdinalError(f"malformed valuation document {path}: {exc}") from exc
     poset = load_poset(poset_path)
-    if mode == "atoms":
-        return derive_valuation_from_atoms(poset, values)
-    if mode == "total":
-        return Valuation(poset, values)
+    try:
+        if mode == "atoms":
+            return derive_valuation_from_atoms(poset, values)
+        if mode == "total":
+            return Valuation(poset, values)
+    except (ValueError, ArithmeticError) as exc:  # values that do not fit the poset
+        raise OrdinalError(f"malformed valuation document {path}: {exc}") from exc
     raise OrdinalError(f"unknown valuation mode {mode!r}")
 
 
@@ -87,7 +103,11 @@ def load_distribution(path) -> AtomDistribution:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "probs" not in doc:
         raise OrdinalError(f"{path} lacks a 'probs' mapping")
-    return AtomDistribution(_numbers(doc["probs"], path, "a 'probs'"))
+    probs = _numbers(doc["probs"], path, "a 'probs'")
+    try:
+        return AtomDistribution(probs)
+    except (ValueError, ArithmeticError) as exc:  # negative, or not summing to one
+        raise OrdinalError(f"malformed distribution document {path}: {exc}") from exc
 
 
 def parse_rational(value) -> Fraction:
@@ -149,7 +169,7 @@ def load_scene(path) -> Scene:
         for entry in doc.get("frames", []):
             a, b = entry["chains"]
             frames[str(entry["id"])] = (str(a), str(b))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
         raise OrdinalError(f"malformed scene document {path}: {exc}") from exc
     missing = [f for f, (a, b) in frames.items()
                if a not in chains or b not in chains]

@@ -189,17 +189,43 @@ class IntervalPair:
                 "dx": str(self.dx), "ds2": str(self.ds2)}
 
 
-def _sync_window(indices: Iterable[int], *chains: ObserverChain) -> tuple[int, int]:
+def _last_inside(a: ObserverChain, b: ObserverChain) -> int:
+    """The last index of a whose element projects inside b's declared range.
+
+    project raises exactly when e.p or e.q lies past the p or q of b's last
+    element; along a, both grow linearly with the index.
+    """
+    last = b.index_range[1]
+    return min((b.origin.p + last * b.p_step - a.origin.p) // a.p_step,
+               (b.origin.q + last * b.q_step - a.origin.q) // a.q_step)
+
+
+def _sync_window(indices: Iterable[int], p: ObserverChain,
+                 q: ObserverChain) -> tuple[int, int]:
+    """The index window around the events over which p and q must agree.
+
+    It ends where an element of either chain would project past the other
+    chain's range. A window clipped to fewer than two indices would pass
+    vacuously, so it takes the last two indices that project inside; if
+    the chains have no two such indices, that raises NotSynchronized.
+    """
     lo, hi = min(indices), max(indices)
     if hi == lo:
         hi = lo + 1  # need one consecutive step to say anything
-    for c in chains:
+    for c in (p, q):
         lo = max(lo, c.index_range[0])
         hi = min(hi, c.index_range[1])
     if hi < lo:
         raise NotSynchronized(
             "chains share no index window around the events, so "
             "synchronization cannot be verified")
+    last = min(_last_inside(p, q), _last_inside(q, p))
+    if hi > last:
+        lo, hi = min(lo, last - 1), last
+        if lo < max(p.index_range[0], q.index_range[0]):
+            raise NotSynchronized(
+                "chains project into each other's ranges on fewer than two "
+                "indices, so synchronization cannot be verified")
     return lo, hi
 
 

@@ -17,11 +17,15 @@ would pass anything. Contexts with zero measure are skipped and counted.
 
 All but the product rule run on one kernel in element-index space: values
 become rows indexed by element, one per context, and join/meet become index
-tables built per call. When every defined value is a Fraction, each row is
-scaled to the lcm of its denominators and the kernel tests integers: a
-difference d at scale S violates iff |d| > floor(tol * S), which is exactly
-|lhs - rhs| > tol. Any other values are tested as they are, with the same
-operations as a plain loop, so float residuals are bit-identical.
+tables built per call. A row is exact when each of its defined values is an
+int or a Fraction; it is then scaled to the lcm of its denominators. Each
+rule tests its instances in blocks that read one or two rows, and the
+choice is made per block: a block whose rows are all exact tests integers,
+where a difference d at scale S violates iff |d| > floor(tol * S), which is
+exactly |lhs - rhs| > tol. Any other block is tested on the values as they
+are, with the same operations as a plain loop, so float residuals are
+bit-identical. So an int bottom or one float entry changes the arithmetic
+of the blocks that read its row and no others.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from operator import add, mul, sub
+from operator import add, countOf, itemgetter, mul, sub
 from typing import Mapping, Union
 
 from .errors import (LatticeMismatch, NegativeAtomValue, UnknownElement,
@@ -88,17 +92,24 @@ def derive_valuation_from_atoms(lat: Poset, atom_values: Mapping[str, Value]) ->
         members = parse_subset_id(element)
         if not members <= atoms:
             raise ValueError(f"element {element!r} uses atoms outside the weight map")
-        values[element] = sum(atom_values[a] for a in members)
+        values[element] = sum(atom_values[a] for a in sorted(members))
     return Valuation(lat, values)
 
 
 # --- the audit kernel ---
 
 # An undefined entry: arithmetic with it stays undefined, so an instance is
-# skipped exactly when one of its terms is.
-_UNDEFINED = type("Undefined", (), dict.fromkeys(
-    ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"),
-    lambda self, other: self))()
+# skipped exactly when one of its terms is. It compares above every number,
+# so it is the maximum of any block holding it and fails the block test.
+_UNDEFINED = type("Undefined", (), {
+    **dict.fromkeys(("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"),
+                    lambda self, other: self),
+    **dict.fromkeys(("__gt__", "__ge__"), lambda self, other: True),
+    **dict.fromkeys(("__lt__", "__le__"), lambda self, other: False)})()
+
+# The types an exact row holds, holes included; bool and subclasses of
+# Fraction are not among them, so rows holding them stay raw.
+_EXACT = {int, Fraction, type(_UNDEFINED)}
 
 
 def _require_tolerance(tol) -> None:
@@ -106,53 +117,74 @@ def _require_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
-def _view(p: Poset, table: Mapping[tuple[str, str], Value], tol) -> tuple:
-    """(raw, rows, scale, bound) of a table keyed (element, context).
+def _view(raw: list[list], tol) -> tuple:
+    """(raw, rows, scale, bound, empty, inexact) of rows indexed by element.
 
-    raw[t][x] is the value at (x, t), or _UNDEFINED. If every defined value
-    is a Fraction, rows[t] is raw[t] in integers, times scale[t], the lcm of
-    its denominators, and bound(s) is floor(tol * s); otherwise rows is raw,
-    scale is 1 and bound(s) is tol.
+    raw[t][x] is the value at x in context t, or _UNDEFINED. Row t is exact
+    when each of its defined values is an int or a Fraction: rows[t] is then
+    raw[t] in integers, times scale[t], the lcm of its denominators, and
+    bound(s) is floor(tol * s). The sets ``empty`` and ``inexact`` hold the
+    rows with no defined value and the rows that are not exact.
     """
     _require_tolerance(tol)
-    raw = [[_UNDEFINED] * len(p) for _ in p.elements]
-    for (x, t), value in table.items():
-        if value is not None:
-            raw[p._index[t]][p._index[x]] = value
-    if not all(type(e) is Fraction for e in table.values() if e is not None):
-        return raw, raw, [1] * len(p), lambda s: tol
-    scale = [math.lcm(*(e.denominator for e in row if e is not _UNDEFINED)) for row in raw]
-    rows = [[e if e is _UNDEFINED else e.numerator * (s // e.denominator) for e in row]
-            for row, s in zip(raw, scale)]
+    rows, scale, empty, inexact = [], [], set(), set()
+    for t, row in enumerate(raw):
+        types = set(map(type, row))
+        if types <= {type(_UNDEFINED)}:
+            empty.add(t)
+        if types <= _EXACT:
+            s = math.lcm(*(e.denominator for e in row if e is not _UNDEFINED))
+            rows.append([e if e is _UNDEFINED else e.numerator * (s // e.denominator)
+                         for e in row])
+        else:
+            s = 1
+            rows.append(None)
+            inexact.add(t)
+        scale.append(s)
     num, den = Fraction(tol).as_integer_ratio()
-    return raw, rows, scale, lambda s: num * s // den
+    return raw, rows, scale, lambda s: num * s // den, empty, inexact
 
 
-def _kernel(rule, tol, p, view, keys, block, instance, signed=False) -> RuleReport:
+def _kernel(rule, tol, p, view, blocks, block, instance, signed=False) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
-    ``block(rows, scale, key)`` gives a block's lhs and rhs streams and their
-    scale; ``instance(key, k)`` the element indices of its k-th instance.
-    A block with violations is evaluated once more on the raw values, which
+    ``blocks`` yields each block's key, the context rows it reads and its
+    number of instances; every instance reads each of those rows, so a
+    block reading an empty row is skipped whole. ``block(rows, scale, key)``
+    gives a block's lhs and rhs streams and their scale; ``instance(key, k)``
+    the element indices of its k-th instance. A block whose rows are all
+    exact is tested in integers, |d| > floor(tol * scale); any other on the
+    raw values, |d| > tol. Both are the verdict of |lhs - rhs| > tol. A
+    block with violations is evaluated once more on the raw values, which
     gives the violations' sides in the values' own arithmetic.
     """
-    raw, rows, scale, bound = view
+    raw, rows, scale, bound, empty, inexact = view
+    ones = [1] * len(raw)
     checked = skipped = 0
     violations = []
-    for key in keys:
-        lhs, rhs, s = block(rows, scale, key)
-        above = bound(s)
-        below = -math.inf if signed else -above
-        found = []
-        for k, d in enumerate(map(sub, lhs, rhs)):
-            if d is _UNDEFINED:
-                skipped += 1
-                continue
-            checked += 1
-            if d > above or d < below:
-                found.append(k)
+    for key, reads, size in blocks:
+        if not size or not empty.isdisjoint(reads):
+            skipped += size
+            continue
+        if inexact.isdisjoint(reads):
+            lhs, rhs, s = block(rows, scale, key)
+            above = bound(s)
+        else:
+            lhs, rhs, _ = block(raw, ones, key)
+            above = tol
+        diffs = list(map(sub, lhs, rhs))
+        # a NaN never violates: max and min skip it, unless it comes first,
+        # and then the test fails and the loop below decides
+        if max(diffs) <= above and (signed or -above <= min(diffs)):
+            checked += len(diffs)
+            continue
+        undefined = countOf(diffs, _UNDEFINED)
+        skipped += undefined
+        checked += len(diffs) - undefined
+        found = [k for k, d in enumerate(diffs)
+                 if d is not _UNDEFINED and (d if signed else abs(d)) > above]
         if found:
-            sides = list(zip(*block(raw, [1] * len(raw), key)[:2]))
+            sides = list(zip(*block(raw, ones, key)[:2]))
             for k in found:
                 a, b = sides[k]
                 ids = tuple(p.elements[i] for i in instance(key, k))
@@ -164,6 +196,13 @@ def _table(p: Poset, op) -> list[list[int]]:
     """n x n element indices of op(x, y), op being p.join or p.meet."""
     p._require_lattice()
     return [[p._index[op(x, y)] for y in p.elements] for x in p.elements]
+
+
+def _gather(indices):
+    """A function from a row to its values at indices, in order."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: [row[i] for i in indices]
 
 
 def _times(stream, s):
@@ -178,20 +217,31 @@ def _sum_rule(rule: str, p: Poset, view, contexts, tol) -> RuleReport:
     ys = [y for x in range(n) for y in range(x + 1, n)]
     joins, meets = ([op[x][y] for x, y in zip(xs, ys)]
                     for op in (_table(p, p.join), _table(p, p.meet)))
+    at_join, at_meet, at_x, at_y = map(_gather, (joins, meets, xs, ys))
 
     def block(rows, scale, t):
-        at = rows[t].__getitem__
-        return (map(add, map(at, joins), map(at, meets)),
-                map(add, map(at, xs), map(at, ys)), scale[t])
-    return _kernel(rule, tol, p, view, contexts, block,
+        row = rows[t]
+        return (map(add, at_join(row), at_meet(row)),
+                map(add, at_x(row), at_y(row)), scale[t])
+    return _kernel(rule, tol, p, view, ((t, (t,), len(xs)) for t in contexts), block,
                    lambda t, k: (xs[k], ys[k]) if rule == "sum" else (t, xs[k], ys[k]))
 
 
 def _valuation_view(v: Valuation, tol) -> tuple:
-    """A view with v as the row of the first context, and the keys of that row."""
-    p = v.poset
-    view = _view(p, {(x, p.elements[0]): value for x, value in v.values.items()}, tol)
-    return view, range(min(len(p), 1))
+    """A view with v as its one row, and the keys of its rows."""
+    row = [_UNDEFINED if e is None else e for e in map(v.values.__getitem__, v.poset.elements)]
+    raw = [row] if row else []
+    return _view(raw, tol), range(len(raw))
+
+
+def _bivaluation_view(w: BiValuation, tol) -> tuple:
+    """A view with one row per context of w, each indexed by element."""
+    p = w.poset
+    raw = [[_UNDEFINED] * len(p) for _ in p.elements]
+    for (x, t), value in w.table.items():
+        if value is not None:
+            raw[p._index[t]][p._index[x]] = value
+    return _view(raw, tol)
 
 
 # --- valuations ---
@@ -206,9 +256,10 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     p, (view, keys) = v.poset, _valuation_view(v, tol)
     pairs = [(i, j) for i, x in enumerate(p.elements)
              for j, y in enumerate(p.elements) if x != y and p.leq(x, y)]
-    return _kernel("monotone", tol, p, view, keys, lambda rows, scale, t: (
-        (rows[t][x] for x, _ in pairs), (rows[t][y] for _, y in pairs), scale[t]),
-        lambda _, k: pairs[k], signed=True)
+    at_lower, at_upper = (_gather([pair[end] for pair in pairs]) for end in (0, 1))
+    return _kernel("monotone", tol, p, view, ((t, (t,), len(pairs)) for t in keys),
+                   lambda rows, scale, t: (at_lower(rows[t]), at_upper(rows[t]), scale[t]),
+                   lambda _, k: pairs[k], signed=True)
 
 
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
@@ -282,56 +333,60 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
             raise ValueError(f"valuation fails the sum rule on "
                              f"{len(audit.violations)} pairs; cannot condition on it")
     p = v.poset
-    p._require_lattice()
+    meet = _table(p, p.meet)
+    values = [v.values[x] for x in p.elements]
     table = {}
-    for y in p.elements:
-        vy = v(y)
+    for j, (y, vy) in enumerate(zip(p.elements, values)):
         if vy <= 0:
             continue
-        for x in p.elements:
-            table[(x, y)] = v(p.meet(x, y)) / vy
+        for x, row in zip(p.elements, meet):
+            table[(x, y)] = values[row[j]] / vy
     return BiValuation(p, table)
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
-    p, view = w.poset, _view(w.poset, w.table, tol)
+    p, view = w.poset, _bivaluation_view(w, tol)
     down = [[p._index[x] for x in p.lower_bound([y])] for y in p.elements]
+    below = [_gather(d) for d in down]
 
     def block(rows, scale, key):  # x runs over the elements below y
         z, y = key
-        return (_times(map(rows[z].__getitem__, down[y]), scale[y]),
-                map(mul, map(rows[y].__getitem__, down[y]), repeat(rows[z][y])),
-                scale[z] * scale[y])
-    keys = ((z, y) for z in range(len(p)) for y in down[z])
-    return _kernel("chain", tol, p, view, keys, block,
+        return (_times(below[y](rows[z]), scale[y]),
+                map(mul, below[y](rows[y]), repeat(rows[z][y])), scale[z] * scale[y])
+    blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
+    return _kernel("chain", tol, p, view, blocks, block,
                    lambda key, k: (down[key[1]][k], *key[::-1]))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
-    p, view = w.poset, _view(w.poset, w.table, tol)
-    meet = _table(p, p.meet)
-    return _kernel("diamond", tol, p, view, range(len(p)), lambda rows, scale, x: (
-        rows[x], map(rows[x].__getitem__, meet[x]), scale[x]), lambda x, y: (x, y))
+    p, view = w.poset, _bivaluation_view(w, tol)
+    at_meet = [_gather(row) for row in _table(p, p.meet)]
+    n = len(p)
+    return _kernel("diamond", tol, p, view, ((x, (x,), n) for x in range(n)),
+                   lambda rows, scale, x: (rows[x], at_meet[x](rows[x]), scale[x]),
+                   lambda x, y: (x, y))
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered triples."""
-    p, view = w.poset, _view(w.poset, w.table, tol)
+    p, view = w.poset, _bivaluation_view(w, tol)
     meet = _table(p, p.meet)
+    at_meet = [_gather(row) for row in meet]
 
     def block(rows, scale, key):  # z runs over all elements
         x, y = key
         xy = meet[x][y]
-        return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
+        return (_times(at_meet[y](rows[x]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
-    keys = product(range(len(p)), repeat=2)
-    return _kernel("context", tol, p, view, keys, block, lambda key, z: (*key, z))
+    n = len(p)
+    blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
+    return _kernel("context", tol, p, view, blocks, block, lambda key, z: (*key, z))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y)."""
     p = w.poset
-    return _sum_rule("bisum", p, _view(p, w.table, tol),
+    return _sum_rule("bisum", p, _bivaluation_view(w, tol),
                      [p._index[t] for t in w.contexts()], tol)

@@ -4,14 +4,19 @@
 kernel's reports must equal theirs in ``to_dict()`` (compared as canonical
 JSON, so 1 and 1.0 differ) and in ``text_lines()``, on floats, ints,
 Fractions and mixtures, with zero-weight atoms, holes and perturbations.
-The golden files hold ``ordinal rules audit`` output made by those loops.
+The golden files hold ``ordinal rules audit`` output made by those loops;
+``b4-mixed`` was made by the kernel that chose its arithmetic per table.
 """
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ordinal
 import reference_audits as ref
 from ordinal import (Valuation, bivaluation_from_valuation, boolean_lattice,
                      build_poset, chain_poset, check_bivaluation_sum_rule,
@@ -90,6 +95,38 @@ def audited_inputs(draw):
 @settings(max_examples=40, deadline=None)
 @given(audited_inputs())
 def test_kernel_matches_reference_loops(case):
+    assert_audits_agree(*case)
+
+
+@st.composite
+def mixed_tables(draw):
+    """A valuation on B1-B5 and a bi-valuation whose rows mix ints,
+    Fractions, floats, bools and holes, so some blocks run in integers and
+    others on the raw values."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    lat = boolean_lattice("abcde"[:n])
+    kind = draw(st.sampled_from(("int bottom", "all int", "one float", "one bool")))
+    weights = draw(st.lists(number("int" if kind == "all int" else "fraction"),
+                            min_size=n, max_size=n))
+    v = derive_valuation_from_atoms(lat, dict(zip("abcde", weights)))  # v({}) is the int 0
+    w = bivaluation_from_valuation(v, validate=False)
+    if kind == "all int":  # int/int divides into floats, so make the table ints
+        w = BiValuation(lat, {k: round(value) for k, value in w.table.items()})
+    entry = st.tuples(st.sampled_from(lat.elements), st.sampled_from(lat.elements))
+    for _ in range(draw(st.integers(0, 2))):  # perturbations in the table's own kind
+        w = w.with_value(*draw(entry), draw(number("int" if kind == "all int" else "fraction", 2)))
+    if kind in ("one float", "one bool"):
+        x, t = draw(entry)
+        w = w.with_value(x, t, draw(st.booleans()) if kind == "one bool"
+                         else float(w.get(x, t) or 0) + draw(st.sampled_from([0, 0.25, 1e-12])))
+    for _ in range(draw(st.integers(0, 3))):  # holes
+        w = w.with_value(*draw(entry), None)
+    return v, w, draw(tolerances)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_tables())
+def test_kernel_matches_reference_on_mixed_tables(case):
     assert_audits_agree(*case)
 
 
@@ -176,6 +213,9 @@ GOLDEN_RUNS = {
     "b4-tol0": (1, ["--poset", "b4.json", "--atoms", "w4.json", "--tol", "0"]),
     "b4-shifted": (1, ["--poset", "b4.json", "--values", "shifted4.json", "--rules",
                        "sum,bisum,chain,diamond,context,monotone"]),
+    # total values: ints with four floats, two of them off the sum rule
+    "b4-mixed": (1, ["--poset", "b4.json", "--values", "mixed4.json", "--rules",
+                     "sum,bisum,chain,diamond,context,monotone"]),
 }
 
 
@@ -190,3 +230,19 @@ def test_rules_audit_output_is_unchanged(capsys, monkeypatch, name, fmt):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{name}.{fmt}.out").read_text()
+
+
+def test_rules_audit_does_not_depend_on_the_hash_seed(tmp_path):
+    # 0.1 + 0.2 + 0.7 rounds differently in different orders, and a set of
+    # atoms iterates in an order that follows the string hash seed
+    (tmp_path / "w3.json").write_text('{"a": 0.1, "b": 0.2, "c": 0.7}')
+    argv = [sys.executable, "-m", "ordinal.cli", "rules", "audit", "--poset",
+            str(GOLDEN / "b3.json"), "--atoms", str(tmp_path / "w3.json"), "--tol", "0"]
+    src = os.path.dirname(os.path.dirname(ordinal.__file__))
+    outputs = set()
+    for seed in ("1", "2", "3", "4", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs.add(subprocess.run(argv, env=env, capture_output=True, text=True,
+                                   timeout=60).stdout)
+    assert len(outputs) == 1 and '"rule": "sum"' in outputs.pop()

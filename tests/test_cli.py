@@ -303,6 +303,8 @@ MALFORMED = {
     "string probabilities": (
         "dist.json", {"probs": {"a": "0.5", "b": "0.5"}},
         ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"]),
+    "poset elements that are not a list": (
+        "poset.json", {"elements": 5, "covers": []}, ["poset", "check", "--input", "poset.json"]),
 }
 
 

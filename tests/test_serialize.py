@@ -1,12 +1,16 @@
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordinal import OrdinalError, boolean_lattice, partition_lattice
-from ordinal.serialize import (Scene, dumps_canonical, load_distribution,
-                               load_poset, load_scene, load_valuation,
-                               parse_rational, poset_to_dot, scene_to_dict)
+from ordinal.serialize import (Scene, dumps_canonical, load_atom_values,
+                               load_distribution, load_poset, load_scene,
+                               load_valuation, parse_rational, poset_to_dot,
+                               scene_to_dict)
 
 
 def write(path, payload):
@@ -25,6 +29,19 @@ def test_poset_document_round_trip(tmp_path):
 def test_malformed_poset_document(tmp_path):
     path = write(tmp_path / "bad.json", {"elements": ["a"]})
     with pytest.raises(OrdinalError):
+        load_poset(path)
+
+
+@pytest.mark.parametrize("doc", [{"elements": 5, "covers": []},
+                                 {"elements": ["a", None], "covers": []},
+                                 {"elements": ["a", ""], "covers": []},
+                                 {"elements": ["a", "b"], "covers": [["a"]]},
+                                 {"elements": ["a", "b"], "covers": [["a", 2]]},
+                                 {"elements": ["a", "b"], "covers": "ab"}, ["a", "b"]])
+def test_poset_document_needs_string_elements_and_pairs(tmp_path, doc):
+    # a null element used to become the element "None"
+    path = write(tmp_path / "bad.json", doc)
+    with pytest.raises(OrdinalError, match="malformed poset document"):
         load_poset(path)
 
 
@@ -120,3 +137,53 @@ def test_dumps_canonical_is_sorted_and_newline_terminated():
     text = dumps_canonical({"b": 1, "a": 2})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+# --- any JSON document: a result or OrdinalError, never another exception ---
+
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+          | st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "a", "b", "atoms", "total"]))
+json_values = st.recursive(leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+    st.text(max_size=4) | st.sampled_from(["elements", "covers", "probs", "values", "id"]),
+    inner, max_size=4), max_leaves=12)
+names = st.sampled_from(["a", "b", "{}", "{a}", "{b}", "{a,b}", ""])
+
+
+def some(**fields):
+    """Objects holding some of these fields."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+poset_docs = st.fixed_dictionaries({
+    "elements": st.lists(names, max_size=4) | json_values,
+    "covers": st.lists(st.lists(names, max_size=3), max_size=3) | json_values})
+# each loader gets documents near its own format as well as any JSON value
+DOCUMENTS = {
+    load_poset: poset_docs,
+    load_atom_values: st.dictionaries(names, leaves),
+    load_distribution: st.fixed_dictionaries({"probs": st.dictionaries(names, leaves)}),
+    load_valuation: some(poset=st.just("poset.json") | leaves, mode=leaves,
+                         values=st.dictionaries(names, leaves) | json_values),
+    load_scene: some(
+        events=st.lists(some(id=leaves, t=leaves, x=leaves) | json_values, max_size=3),
+        chains=st.lists(some(id=leaves, k=leaves, tick=leaves,
+                             origin=some(t=leaves, x=leaves) | json_values,
+                             range=st.lists(leaves, max_size=3) | json_values), max_size=3),
+        frames=st.lists(some(id=leaves, chains=st.lists(leaves, max_size=3)), max_size=3)),
+}
+
+
+@pytest.mark.parametrize("loader", list(DOCUMENTS), ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_return_a_result_or_raise_ordinal_error(loader, data):
+    doc = data.draw(DOCUMENTS[loader] | json_values)
+    if isinstance(doc, dict) and isinstance(doc.get("poset"), str):
+        doc["poset"] = "poset.json"  # a valuation's poset path names a file that exists
+    poset_doc = data.draw(st.just(boolean_lattice("ab").to_dict()) | poset_docs | json_values)
+    with tempfile.TemporaryDirectory() as d:
+        write(Path(d) / "poset.json", poset_doc)
+        try:
+            loader(write(Path(d) / "doc.json", doc))
+        except OrdinalError:
+            pass

@@ -176,6 +176,44 @@ def test_interval_needs_a_shared_index_window():
         interval_pair(Event(0, 0), Event(2, 1), p, q)
 
 
+def test_interval_near_the_end_of_both_ranges():
+    # Q's element j projects onto P's j + 5 and back, so the window the
+    # events span, [152, 200], is checked only up to index 195
+    p, q = rest_chain(0), rest_chain(5)
+    ip = interval_pair(Event(150, 3), Event(195, 0), p, q)
+    assert (ip.dp, ip.dq) == (45 - 3, 45 + 3)
+
+
+def test_interval_whose_window_clips_to_one_index():
+    # every projection of these events is at index 195 or above, so the
+    # window is the last two indices that project inside: [194, 195]
+    p, q = rest_chain(0), rest_chain(5)
+    ip = interval_pair(Event(195, 0), Event(195, 3), p, q)
+    assert (ip.dp, ip.dq) == (3, -3)
+
+
+def test_interval_needs_two_indices_that_project_inside():
+    # only P's index 0 projects inside Q's range [0, 5]: P's 1 lands on Q's 6
+    p, q = rest_chain(0), rest_chain(5, rng=(0, 5))
+    with pytest.raises(NotSynchronized, match="fewer than two indices"):
+        interval_pair(Event(0, 0), Event(0, 0), p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 5), st.integers(0, 200), st.integers(0, 5))
+def test_rest_intervals_inside_both_ranges(t1, x1, t2, x2):
+    # events both chains' ranges measure give (dt + dx, dt - dx)
+    p, q = rest_chain(0), rest_chain(5)
+    e1, e2 = Event(min(t1, t2), x1), Event(max(t1, t2), x2)
+    if any(project_oracle(e, c) is None for e in (e1, e2) for c in (p, q)):
+        with pytest.raises(NotQuantifiable):
+            interval_pair(e1, e2, p, q)
+        return
+    ip = interval_pair(e1, e2, p, q)
+    dt, dx = e2.t - e1.t, e2.x - e1.x
+    assert (ip.dp, ip.dq) == (dt + dx, dt - dx)
+
+
 def test_decompose_pure_time_and_pure_space():
     time_like, space_like = IntervalPair(F(5), F(5)), IntervalPair(F(1), F(-1))
     assert (time_like.dt, time_like.dx) == (5, 0)
