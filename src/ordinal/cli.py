@@ -16,14 +16,31 @@ from .serialize import (dumps_canonical, load_atom_values, load_distribution,
                         load_poset, load_scene, load_valuation, poset_to_dot)
 from .spacetime import (causal_grid_poset, check_synchronized, interval_pair,
                         project)
-from .valuation import (BiValuation, Valuation, bivaluation_from_valuation,
+from .valuation import (Valuation, bivaluation_from_valuation,
                         check_bivaluation_sum_rule, check_chain_rule,
                         check_context_product_rule, check_diamond_lemma,
                         check_monotone, check_sum_rule,
-                        derive_valuation_from_atoms)
+                        derive_valuation_from_atoms, require_tolerance)
 
-RULE_CHECKS = ("sum", "bisum", "chain", "diamond", "context", "monotone")
+# rule -> (audit, whether it audits w(x | y) = v(x ^ y) / v(y) instead of v)
+AUDITS = {
+    "sum": (check_sum_rule, False),
+    "bisum": (check_bivaluation_sum_rule, True),
+    "chain": (check_chain_rule, True),
+    "diamond": (check_diamond_lemma, True),
+    "context": (check_context_product_rule, True),
+    "monotone": (lambda v, tol: check_monotone(v), False),  # an order check, at tolerance 0
+}
+RULE_CHECKS = tuple(AUDITS)
 DEFAULT_RULES = "sum,bisum,chain,diamond,context"
+
+# poset kind -> (generator, the flag that gives its argument)
+GENERATORS = {
+    "boolean": (boolean_lattice, "atoms"),
+    "partition": (partition_lattice, "atoms"),
+    "divisors": (divisor_lattice, "n"),
+    "grid": (causal_grid_poset, "n"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     dot.add_argument("--input", required=True)
     dot.add_argument("--output", default=None)
     gen = poset_sub.add_parser("gen", help="emit a generated poset as JSON")
-    gen.add_argument("kind", choices=("boolean", "partition", "divisors", "grid"))
+    gen.add_argument("kind", choices=tuple(GENERATORS))
     gen.add_argument("--atoms", default=None, help="comma-separated atom tokens")
     gen.add_argument("--n", type=int, default=None)
     gen.add_argument("--output", default=None)
@@ -111,6 +128,13 @@ def _emit_payload(args, payload: dict, text_lines: list[str]) -> None:
         _emit(args, "\n".join(text_lines) + "\n")
 
 
+def _two_ids(text: str, what: str) -> list[str]:
+    ids = [s for s in text.split(",") if s]
+    if len(ids) != 2:
+        raise OrdinalError(f"--{what}s needs exactly two {what} ids")
+    return ids
+
+
 def _cmd_poset_check(args) -> int:
     p = load_poset(args.input)
     cert = p.is_lattice()
@@ -137,20 +161,13 @@ def _cmd_poset_dot(args) -> int:
 
 
 def _cmd_poset_gen(args) -> int:
-    if args.kind in ("boolean", "partition"):
-        if not args.atoms:
-            raise OrdinalError(f"gen {args.kind} requires --atoms")
-        atoms = [a for a in args.atoms.split(",") if a]
-        p = boolean_lattice(atoms) if args.kind == "boolean" else partition_lattice(atoms)
-    elif args.kind == "divisors":
-        if args.n is None:
-            raise OrdinalError("gen divisors requires --n")
-        p = divisor_lattice(args.n)
-    else:
-        if args.n is None:
-            raise OrdinalError("gen grid requires --n")
-        p = causal_grid_poset(args.n)
-    _emit(args, dumps_canonical(p.to_dict()))
+    generate, flag = GENERATORS[args.kind]
+    arg = getattr(args, flag)
+    if arg in (None, ""):
+        raise OrdinalError(f"gen {args.kind} requires --{flag}")
+    if flag == "atoms":
+        arg = [a for a in arg.split(",") if a]
+    _emit(args, dumps_canonical(generate(arg).to_dict()))
     return 0
 
 
@@ -171,29 +188,17 @@ def _load_audit_valuation(args) -> Valuation:
 def _cmd_rules_audit(args) -> int:
     v = _load_audit_valuation(args)
     requested = [r for r in args.rules.split(",") if r]
-    unknown = [r for r in requested if r not in RULE_CHECKS]
+    unknown = [r for r in requested if r not in AUDITS]
     if unknown:
         raise OrdinalError(f"unknown rules {unknown}; choose from {RULE_CHECKS}")
+    if not requested:
+        raise OrdinalError(f"rules audit needs at least one rule; choose from {RULE_CHECKS}")
     tol = args.tol
-
-    w: BiValuation | None = None
-    if any(r in requested for r in ("bisum", "chain", "diamond", "context")):
-        w = bivaluation_from_valuation(v, tol, validate=False)
-
-    reports = []
-    for rule in requested:
-        if rule == "sum":
-            reports.append(check_sum_rule(v, tol))
-        elif rule == "monotone":
-            reports.append(check_monotone(v))
-        elif rule == "bisum":
-            reports.append(check_bivaluation_sum_rule(w, tol))
-        elif rule == "chain":
-            reports.append(check_chain_rule(w, tol))
-        elif rule == "diamond":
-            reports.append(check_diamond_lemma(w, tol))
-        elif rule == "context":
-            reports.append(check_context_product_rule(w, tol))
+    require_tolerance(tol)
+    audits = [AUDITS[r] for r in requested]
+    w = (bivaluation_from_valuation(v, tol, validate=False)
+         if any(on_w for _, on_w in audits) else None)
+    reports = [audit(w if on_w else v, tol) for audit, on_w in audits]
     passed = all(r.passed for r in reports)
     payload = {"tolerance": tol, "passed": passed,
                "reports": [r.to_dict() for r in reports]}
@@ -246,9 +251,7 @@ def _cmd_st_project(args) -> int:
 
 def _cmd_st_sync(args) -> int:
     scene = load_scene(args.scene)
-    names = [s for s in args.chains.split(",") if s]
-    if len(names) != 2:
-        raise OrdinalError("--chains needs exactly two chain ids")
+    names = _two_ids(args.chains, "chain")
     lo, hi = (int(part) for part in args.range.split(","))
     ok = check_synchronized(scene.chain(names[0]), scene.chain(names[1]), (lo, hi))
     payload = {"chains": names, "range": [lo, hi], "synchronized": ok}
@@ -260,17 +263,13 @@ def _cmd_st_sync(args) -> int:
 
 def _cmd_st_interval(args) -> int:
     scene = load_scene(args.scene)
-    names = [s for s in args.events.split(",") if s]
-    if len(names) != 2:
-        raise OrdinalError("--events needs exactly two event ids")
+    names = _two_ids(args.events, "event")
     e1, e2 = scene.event(names[0]), scene.event(names[1])
 
     if args.frames:
         frames = [(f, *scene.frame(f)) for f in args.frames.split(",") if f]
     elif args.chains:
-        pair = [s for s in args.chains.split(",") if s]
-        if len(pair) != 2:
-            raise OrdinalError("--chains needs exactly two chain ids")
+        pair = _two_ids(args.chains, "chain")
         frames = [("-".join(pair), scene.chain(pair[0]), scene.chain(pair[1]))]
     else:
         raise OrdinalError("interval needs --frames or --chains")

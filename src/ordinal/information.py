@@ -22,7 +22,7 @@ _SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AtomDistribution:
-    """Probabilities over atoms; must be non-negative and sum to one."""
+    """Probabilities over atoms; must be finite, non-negative and sum to one."""
 
     probs: Mapping[str, float]
 
@@ -30,6 +30,8 @@ class AtomDistribution:
         for atom, prob in self.probs.items():
             if prob < 0:
                 raise ValueError(f"negative probability {prob} for atom {atom!r}")
+            if isinstance(prob, float) and not math.isfinite(prob):
+                raise ValueError(f"probability {prob} for atom {atom!r} is not finite")
         total = sum(self.probs.values())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")

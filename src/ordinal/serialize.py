@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -24,12 +26,13 @@ def _load_json(path) -> dict:
 
 
 def _numbers(mapping, path, what: str) -> dict:
-    """A JSON object whose values are all numbers (not strings or booleans)."""
+    """A JSON object whose values are all finite numbers, not strings or booleans."""
     if not isinstance(mapping, dict) or not mapping:
         raise OrdinalError(f"{path} does not hold {what} mapping")
     for key, value in mapping.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise OrdinalError(f"{path}: {key!r} maps to {value!r}, not a number")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise OrdinalError(f"{path}: {key!r} maps to {value!r}, not a finite number")
     return mapping
 
 
@@ -111,9 +114,12 @@ def load_distribution(path) -> AtomDistribution:
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints and strings like ``"3"`` or ``"-1/2"``."""
+    """Accept ints and strings like ``"3"``, ``"-1/2"`` or ``"0.5"``, but no
+    exponents: ``"1e-20000000"`` would expand to twenty million digits."""
     if isinstance(value, bool) or isinstance(value, float):
         raise OrdinalError(f"rationals must be integers or strings, got {value!r}")
+    if isinstance(value, str) and re.search(r"[\d.][eE]", value):
+        raise OrdinalError(f"bad rational {value!r}: exponent notation is not accepted")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

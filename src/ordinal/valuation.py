@@ -83,6 +83,8 @@ def derive_valuation_from_atoms(lat: Poset, atom_values: Mapping[str, Value]) ->
     for atom, weight in atom_values.items():
         if weight < 0:
             raise NegativeAtomValue(f"atom {atom!r} has negative weight {weight}")
+        if isinstance(weight, float) and not math.isfinite(weight):
+            raise ValueError(f"atom {atom!r} has non-finite weight {weight}")
     atoms = frozenset(atom_values)
     if len(lat) != 2 ** len(atoms):
         raise ValueError("element count does not match a boolean lattice "
@@ -112,21 +114,29 @@ _UNDEFINED = type("Undefined", (), {
 _EXACT = {int, Fraction, type(_UNDEFINED)}
 
 
-def _require_tolerance(tol) -> None:
+def require_tolerance(tol) -> None:
+    """Raise ValueError for a NaN, infinite or negative tolerance."""
     if isinstance(tol, float) and not math.isfinite(tol) or not tol >= 0:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
-def _view(raw: list[list], tol) -> tuple:
-    """(raw, rows, scale, bound, empty, inexact) of rows indexed by element.
+def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False) -> RuleReport:
+    """Test one rule's instances, block by block, and report its violations.
 
-    raw[t][x] is the value at x in context t, or _UNDEFINED. Row t is exact
-    when each of its defined values is an int or a Fraction: rows[t] is then
-    raw[t] in integers, times scale[t], the lcm of its denominators, and
-    bound(s) is floor(tol * s). The sets ``empty`` and ``inexact`` hold the
-    rows with no defined value and the rows that are not exact.
+    ``raw[t][x]`` is the value at element x in context t, or _UNDEFINED.
+    ``blocks`` yields each block's key, the context rows it reads and its
+    number of instances; every instance reads each of those rows, so a
+    block reading a row with no defined value is skipped whole.
+    ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
+    their scale, on the exact rows in integers (row t times scale[t], the
+    lcm of its denominators) or on raw at scale 1; ``instance(key, k)`` the
+    element indices of its k-th instance. The module docstring says which
+    blocks get which arithmetic. A block with violations is evaluated once
+    more on the raw values, which gives the violations' sides in the
+    values' own arithmetic.
     """
-    _require_tolerance(tol)
+    require_tolerance(tol)
+    num, den = Fraction(tol).as_integer_ratio()
     rows, scale, empty, inexact = [], [], set(), set()
     for t, row in enumerate(raw):
         types = set(map(type, row))
@@ -141,24 +151,6 @@ def _view(raw: list[list], tol) -> tuple:
             rows.append(None)
             inexact.add(t)
         scale.append(s)
-    num, den = Fraction(tol).as_integer_ratio()
-    return raw, rows, scale, lambda s: num * s // den, empty, inexact
-
-
-def _kernel(rule, tol, p, view, blocks, block, instance, signed=False) -> RuleReport:
-    """Test one rule's instances, block by block, and report its violations.
-
-    ``blocks`` yields each block's key, the context rows it reads and its
-    number of instances; every instance reads each of those rows, so a
-    block reading an empty row is skipped whole. ``block(rows, scale, key)``
-    gives a block's lhs and rhs streams and their scale; ``instance(key, k)``
-    the element indices of its k-th instance. A block whose rows are all
-    exact is tested in integers, |d| > floor(tol * scale); any other on the
-    raw values, |d| > tol. Both are the verdict of |lhs - rhs| > tol. A
-    block with violations is evaluated once more on the raw values, which
-    gives the violations' sides in the values' own arithmetic.
-    """
-    raw, rows, scale, bound, empty, inexact = view
     ones = [1] * len(raw)
     checked = skipped = 0
     violations = []
@@ -168,7 +160,7 @@ def _kernel(rule, tol, p, view, blocks, block, instance, signed=False) -> RuleRe
             continue
         if inexact.isdisjoint(reads):
             lhs, rhs, s = block(rows, scale, key)
-            above = bound(s)
+            above = num * s // den
         else:
             lhs, rhs, _ = block(raw, ones, key)
             above = tol
@@ -210,7 +202,7 @@ def _times(stream, s):
     return stream if s == 1 else map(mul, stream, repeat(s))
 
 
-def _sum_rule(rule: str, p: Poset, view, contexts, tol) -> RuleReport:
+def _sum_rule(rule: str, p: Poset, raw, contexts, tol) -> RuleReport:
     """The sum rule in each context row; instances are (x, y) or (t, x, y)."""
     n = len(p)
     xs = [x for x in range(n) for _ in range(x + 1, n)]
@@ -223,41 +215,39 @@ def _sum_rule(rule: str, p: Poset, view, contexts, tol) -> RuleReport:
         row = rows[t]
         return (map(add, at_join(row), at_meet(row)),
                 map(add, at_x(row), at_y(row)), scale[t])
-    return _kernel(rule, tol, p, view, ((t, (t,), len(xs)) for t in contexts), block,
+    return _kernel(rule, tol, p, raw, ((t, (t,), len(xs)) for t in contexts), block,
                    lambda t, k: (xs[k], ys[k]) if rule == "sum" else (t, xs[k], ys[k]))
 
 
-def _valuation_view(v: Valuation, tol) -> tuple:
-    """A view with v as its one row, and the keys of its rows."""
-    row = [_UNDEFINED if e is None else e for e in map(v.values.__getitem__, v.poset.elements)]
-    raw = [row] if row else []
-    return _view(raw, tol), range(len(raw))
+def _valuation_row(v: Valuation) -> list:
+    """v's values indexed by element, the one context row of its audits."""
+    return [_UNDEFINED if e is None else e for e in map(v.values.__getitem__, v.poset.elements)]
 
 
-def _bivaluation_view(w: BiValuation, tol) -> tuple:
-    """A view with one row per context of w, each indexed by element."""
+def _context_rows(w: BiValuation) -> list[list]:
+    """One row per context t of w, indexed by element x: w(x | t)."""
     p = w.poset
     raw = [[_UNDEFINED] * len(p) for _ in p.elements]
     for (x, t), value in w.table.items():
         if value is not None:
             raw[p._index[t]][p._index[x]] = value
-    return _view(raw, tol)
+    return raw
 
 
 # --- valuations ---
 
 def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit v(x v y) + v(x ^ y) = v(x) + v(y) over all unordered pairs."""
-    return _sum_rule("sum", v.poset, *_valuation_view(v, tol), tol)
+    return _sum_rule("sum", v.poset, [_valuation_row(v)], [0], tol)
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     """Audit x <= y  =>  v(x) <= v(y)."""
-    p, (view, keys) = v.poset, _valuation_view(v, tol)
+    p = v.poset
     pairs = [(i, j) for i, x in enumerate(p.elements)
              for j, y in enumerate(p.elements) if x != y and p.leq(x, y)]
     at_lower, at_upper = (_gather([pair[end] for pair in pairs]) for end in (0, 1))
-    return _kernel("monotone", tol, p, view, ((t, (t,), len(pairs)) for t in keys),
+    return _kernel("monotone", tol, p, [_valuation_row(v)], [(0, (0,), len(pairs))],
                    lambda rows, scale, t: (at_lower(rows[t]), at_upper(rows[t]), scale[t]),
                    lambda _, k: pairs[k], signed=True)
 
@@ -266,7 +256,7 @@ def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
                                            vPQ: Valuation,
                                            tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit v((x, y)) = v(x) * v(y) on the product of vP's and vQ's lattices."""
-    _require_tolerance(tol)
+    require_tolerance(tol)
     if len(vPQ.poset) != len(vP.poset) * len(vQ.poset):
         raise LatticeMismatch("product valuation size does not match |P| * |Q|")
     violations = []
@@ -346,7 +336,7 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
-    p, view = w.poset, _bivaluation_view(w, tol)
+    p, raw = w.poset, _context_rows(w)
     down = [[p._index[x] for x in p.lower_bound([y])] for y in p.elements]
     below = [_gather(d) for d in down]
 
@@ -355,23 +345,23 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
         return (_times(below[y](rows[z]), scale[y]),
                 map(mul, below[y](rows[y]), repeat(rows[z][y])), scale[z] * scale[y])
     blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
-    return _kernel("chain", tol, p, view, blocks, block,
+    return _kernel("chain", tol, p, raw, blocks, block,
                    lambda key, k: (down[key[1]][k], *key[::-1]))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
-    p, view = w.poset, _bivaluation_view(w, tol)
+    p, raw = w.poset, _context_rows(w)
     at_meet = [_gather(row) for row in _table(p, p.meet)]
     n = len(p)
-    return _kernel("diamond", tol, p, view, ((x, (x,), n) for x in range(n)),
+    return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
                    lambda rows, scale, x: (rows[x], at_meet[x](rows[x]), scale[x]),
                    lambda x, y: (x, y))
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered triples."""
-    p, view = w.poset, _bivaluation_view(w, tol)
+    p, raw = w.poset, _context_rows(w)
     meet = _table(p, p.meet)
     at_meet = [_gather(row) for row in meet]
 
@@ -382,11 +372,11 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
     n = len(p)
     blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
-    return _kernel("context", tol, p, view, blocks, block, lambda key, z: (*key, z))
+    return _kernel("context", tol, p, raw, blocks, block, lambda key, z: (*key, z))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y)."""
     p = w.poset
-    return _sum_rule("bisum", p, _bivaluation_view(w, tol),
+    return _sum_rule("bisum", p, _context_rows(w),
                      [p._index[t] for t in w.contexts()], tol)

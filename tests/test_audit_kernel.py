@@ -195,11 +195,25 @@ def test_rules_audit_rejects_vacuous_tolerance(tmp_path, capsys, tol):
     (tmp_path / "broken.json").write_text(
         '{"{}": 0, "{a}": 1, "{b}": 1, "{c}": 1, "{a,b}": 2, "{a,c}": 2,'
         ' "{b,c}": 2, "{a,b,c}": 7}')
-    code = run(["rules", "audit", "--poset", str(tmp_path / "b3.json"),
-                "--values", str(tmp_path / "broken.json"), f"--tol={tol}"])
+    # monotone audits at tolerance 0 whatever --tol says, but --tol is still checked
+    for rules in ("sum,bisum,chain,diamond,context", "monotone"):
+        code = run(["rules", "audit", "--poset", str(tmp_path / "b3.json"),
+                    "--values", str(tmp_path / "broken.json"), f"--rules={rules}",
+                    f"--tol={tol}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("ordinal: error: tolerance")
+
+
+@pytest.mark.parametrize("rules", [",", ""])
+def test_rules_audit_rejects_an_empty_rule_list(capsys, monkeypatch, rules):
+    # no audit would run, and an empty report list would read as a pass
+    monkeypatch.chdir(GOLDEN)
+    code = run(["rules", "audit", "--poset", "b3.json", "--atoms", "w3.json",
+                f"--rules={rules}"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("ordinal: error: tolerance")
+    assert err.count("\n") == 1 and err.startswith("ordinal: error: rules audit needs")
 
 
 # --- golden output ---

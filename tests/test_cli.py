@@ -305,6 +305,25 @@ MALFORMED = {
         ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"]),
     "poset elements that are not a list": (
         "poset.json", {"elements": 5, "covers": []}, ["poset", "check", "--input", "poset.json"]),
+    # a NaN or an infinity would let every audit pass, or give an entropy
+    "NaN atom weight": (
+        "atoms.json", {"a": float("nan"), "b": 2},
+        ["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json"]),
+    "infinite atom weight": (
+        "atoms.json", {"a": float("inf"), "b": 2},
+        ["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json"]),
+    "infinite total value": (
+        "values.json", {"{}": 0, "{a}": float("inf"), "{b}": 1, "{a,b}": float("inf")},
+        ["rules", "audit", "--poset", "lat.json", "--values", "values.json"]),
+    "NaN probability": (
+        "dist.json", {"probs": {"a": float("nan"), "b": 0.5}},
+        ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"]),
+    # Fraction would expand an exponent into as many digits as it names
+    "scene coordinate in exponent notation": (
+        "scene.json", {**BOOST_SCENE, "events": [{"id": "e1", "t": "1e-3", "x": "0"},
+                                                 {"id": "e2", "t": "2", "x": "1"}]},
+        ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+         "--frames", "rest"]),
 }
 
 
@@ -317,6 +336,46 @@ def test_malformed_document_is_an_input_error(tmp_path, monkeypatch, capsys, cas
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("ordinal: error")
+
+
+# --- usage errors ---
+
+RULE_NAMES = "('sum', 'bisum', 'chain', 'diamond', 'context', 'monotone')"
+
+USAGE_ERRORS = {
+    "gen boolean without --atoms": (["poset", "gen", "boolean"],
+                                    "gen boolean requires --atoms"),
+    "gen boolean with an empty --atoms": (["poset", "gen", "boolean", "--atoms", ""],
+                                          "gen boolean requires --atoms"),
+    "gen boolean with no atom in --atoms": (["poset", "gen", "boolean", "--atoms", ","],
+                                            "boolean lattice needs at least one atom"),
+    "gen partition without --atoms": (["poset", "gen", "partition"],
+                                      "gen partition requires --atoms"),
+    "gen divisors without --n": (["poset", "gen", "divisors"], "gen divisors requires --n"),
+    "gen divisors with --n 0": (["poset", "gen", "divisors", "--n", "0"],
+                                "n must be a positive integer"),
+    "gen grid without --n": (["poset", "gen", "grid"], "gen grid requires --n"),
+    "sync with one chain": (["spacetime", "sync", "--scene", "scene.json", "--chains", "a",
+                             "--range", "0,10"], "--chains needs exactly two chain ids"),
+    "interval with one chain": (["spacetime", "interval", "--scene", "scene.json",
+                                 "--events", "e1,e2", "--chains", "a"],
+                                "--chains needs exactly two chain ids"),
+    "interval with one event": (["spacetime", "interval", "--scene", "scene.json",
+                                 "--events", "a", "--frames", "rest"],
+                                "--events needs exactly two event ids"),
+    "unknown rule": (["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json",
+                      "--rules", "sum,nonsense"],
+                     f"unknown rules ['nonsense']; choose from {RULE_NAMES}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_prints_one_exact_line(tmp_path, monkeypatch, capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text(json.dumps(BOOST_SCENE))
+    write_audit_inputs(tmp_path, {"a": 1.0, "b": 2.0})
+    assert invoke(capsys, *argv) == (2, "", f"ordinal: error: {message}\n")
 
 
 # --- harness behavior ---

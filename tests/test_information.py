@@ -45,6 +45,13 @@ def test_distribution_validation():
         AtomDistribution({"a": 0.5, "b": 0.4})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distribution_rejects_non_finite_probabilities(bad):
+    # abs(nan - 1) > tol is false, so a NaN would slip past the sum check
+    with pytest.raises(ValueError, match="not finite"):
+        AtomDistribution({"a": bad, "b": 0.5})
+
+
 # --- entropy ---
 
 def test_entropy_of_binary_split():

@@ -90,10 +90,18 @@ def test_parse_rational_accepts_strings_and_ints():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-2") == -2
     assert parse_rational(7) == 7
+    assert parse_rational("0.5") == F(1, 2)
     with pytest.raises(OrdinalError):
         parse_rational("x/y")
     with pytest.raises(OrdinalError):
         parse_rational(0.5)
+
+
+@pytest.mark.parametrize("text", ["1e-200000", "2E3", "-1.5e2"])
+def test_parse_rational_refuses_exponents(text):
+    # Fraction expands an exponent into as many digits as it names
+    with pytest.raises(OrdinalError, match="exponent"):
+        parse_rational(text)
 
 
 def test_scene_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -63,6 +64,13 @@ def test_derived_all_zero_atoms(b3):
 def test_negative_atom_rejected(b3):
     with pytest.raises(NegativeAtomValue):
         derive_valuation_from_atoms(b3, {"a": -0.1, "b": 0.6, "c": 0.5})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_atom_weight_rejected(b3, bad):
+    # with a NaN or infinite weight every audit would pass vacuously
+    with pytest.raises(ValueError, match="non-finite"):
+        derive_valuation_from_atoms(b3, {"a": bad, "b": 0.6, "c": 0.5})
 
 
 def test_derive_needs_matching_boolean_lattice(b3):
