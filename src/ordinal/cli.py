@@ -266,13 +266,13 @@ def _cmd_st_interval(args) -> int:
     names = _two_ids(args.events, "event")
     e1, e2 = scene.event(names[0]), scene.event(names[1])
 
-    if args.frames:
-        frames = [(f, *scene.frame(f)) for f in args.frames.split(",") if f]
-    elif args.chains:
+    if args.chains and not args.frames:
         pair = _two_ids(args.chains, "chain")
         frames = [("-".join(pair), scene.chain(pair[0]), scene.chain(pair[1]))]
     else:
-        raise OrdinalError("interval needs --frames or --chains")
+        frames = [(f, *scene.frame(f)) for f in (args.frames or "").split(",") if f]
+    if not frames:
+        raise OrdinalError("interval needs a frame id in --frames, or --chains")
 
     rows = []
     code = 0

@@ -92,12 +92,6 @@ class Poset:
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
 
-    def index(self, element: str) -> int:
-        try:
-            return self._index[element]
-        except KeyError:
-            raise _unknown(element) from None
-
     def _position(self, element: str) -> int:
         try:
             return self._pos[element]

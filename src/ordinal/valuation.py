@@ -15,22 +15,25 @@ floats with an explicit tolerance, or Fractions with tolerance 0 for exact
 fixtures. A tolerance must be finite and non-negative; a NaN or infinite one
 would pass anything. Contexts with zero measure are skipped and counted.
 
-All but the product rule run on one kernel in element-index space: values
-become rows indexed by element, one per context, and join/meet become index
-tables built per call. A row is exact when each of its defined values is an
-int or a Fraction; it is then scaled to the lcm of its denominators. Each
-rule tests its instances in blocks that read one or two rows, and the
-choice is made per block: a block whose rows are all exact tests integers,
-where a difference d at scale S violates iff |d| > floor(tol * S), which is
-exactly |lhs - rhs| > tol. Any other block is tested on the values as they
-are, with the same operations as a plain loop, so float residuals are
-bit-identical. So an int bottom or one float entry changes the arithmetic
-of the blocks that read its row and no others.
+All but the product rule run on one kernel in element-index space, on rows
+indexed by element, one per context; join/meet become index tables built per
+call. A valuation is one such row. A bi-valuation is stored as its rows, one
+per context with an entry, and the audits read them as they are:
+``BiValuation.table`` builds an (x, t)-keyed dict on each access, and no
+audit calls it. A row is exact when each of its defined values is an int or
+a Fraction; it is then scaled to the lcm of its denominators. Each rule
+tests its instances in blocks that read one or two rows, and the choice is
+made per block: a block whose rows are all exact tests integers, where a
+difference d at scale S violates iff |d| > floor(tol * S), which is exactly
+|lhs - rhs| > tol. Any other block is tested on the values as they are, with
+the same operations as a plain loop, so float residuals are bit-identical.
+So an int bottom or one float entry changes the arithmetic of the blocks
+that read its row and no others.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, countOf, itemgetter, mul, sub
@@ -59,6 +62,9 @@ class Valuation:
         if missing or extra:
             raise ValueError(f"valuation is not total: missing={missing[:3]} "
                              f"extra={extra[:3]}")
+        for element, value in self.values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"element {element!r} has non-finite value {value}")
         object.__setattr__(self, "values", dict(self.values))
 
     def __call__(self, element: str) -> Value:
@@ -69,9 +75,7 @@ class Valuation:
     def replace(self, element: str, value: Value) -> "Valuation":
         if element not in self.poset:
             raise UnknownElement(f"element {element!r} is not in the poset")
-        updated = dict(self.values)
-        updated[element] = value
-        return Valuation(self.poset, updated)
+        return Valuation(self.poset, {**self.values, element: value})
 
 
 def derive_valuation_from_atoms(lat: Poset, atom_values: Mapping[str, Value]) -> Valuation:
@@ -83,8 +87,6 @@ def derive_valuation_from_atoms(lat: Poset, atom_values: Mapping[str, Value]) ->
     for atom, weight in atom_values.items():
         if weight < 0:
             raise NegativeAtomValue(f"atom {atom!r} has negative weight {weight}")
-        if isinstance(weight, float) and not math.isfinite(weight):
-            raise ValueError(f"atom {atom!r} has non-finite weight {weight}")
     atoms = frozenset(atom_values)
     if len(lat) != 2 ** len(atoms):
         raise ValueError("element count does not match a boolean lattice "
@@ -123,7 +125,8 @@ def require_tolerance(tol) -> None:
 def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
-    ``raw[t][x]`` is the value at element x in context t, or _UNDEFINED.
+    ``raw[t][x]`` is the value at element x in context t, or _UNDEFINED,
+    and a row of None is empty.
     ``blocks`` yields each block's key, the context rows it reads and its
     number of instances; every instance reads each of those rows, so a
     block reading a row with no defined value is skipped whole.
@@ -139,6 +142,7 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False) -> RuleRep
     num, den = Fraction(tol).as_integer_ratio()
     rows, scale, empty, inexact = [], [], set(), set()
     for t, row in enumerate(raw):
+        row = row or ()
         types = set(map(type, row))
         if types <= {type(_UNDEFINED)}:
             empty.add(t)
@@ -224,16 +228,6 @@ def _valuation_row(v: Valuation) -> list:
     return [_UNDEFINED if e is None else e for e in map(v.values.__getitem__, v.poset.elements)]
 
 
-def _context_rows(w: BiValuation) -> list[list]:
-    """One row per context t of w, indexed by element x: w(x | t)."""
-    p = w.poset
-    raw = [[_UNDEFINED] * len(p) for _ in p.elements]
-    for (x, t), value in w.table.items():
-        if value is not None:
-            raw[p._index[t]][p._index[x]] = value
-    return raw
-
-
 # --- valuations ---
 
 def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -277,27 +271,41 @@ def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
 
 # --- bi-valuations ---
 
-@dataclass(frozen=True)
 class BiValuation:
     """w(x | y): the degree to which context y includes x.
 
-    Stored as a materialized table keyed (x, context). Entries may be absent
-    (zero-measure or undefined contexts); audits skip and count those.
+    Stored as one row per context, indexed by element, which is the audit
+    kernel's layout: ``_rows[t][x]`` is w(x | t) or _UNDEFINED, and a context
+    with no entry has no row (None). ``table`` builds the (x, context)-keyed
+    dict the constructor takes on each access; no audit calls it.
     """
 
-    poset: Poset
-    table: Mapping[tuple[str, str], Value] = field(repr=False)
+    def __init__(self, poset: Poset, table: Mapping[tuple[str, str], Value]):
+        self.poset, self._rows = poset, [None] * len(poset)
+        for (x, context), value in table.items():
+            self._put(x, context, value)
 
-    def __post_init__(self):
-        for (x, y) in self.table:
-            if x not in self.poset or y not in self.poset:
-                raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) "
-                                     "is not in the poset")
-        object.__setattr__(self, "table", dict(self.table))
+    def _put(self, x: str, y: str, value: Value) -> None:
+        """Set w(x | y) in place, giving context y a row if it has none."""
+        if x not in self.poset or y not in self.poset:
+            raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) is not in the poset")
+        t = self.poset._index[y]
+        row = self._rows[t] = self._rows[t] or [_UNDEFINED] * len(self.poset)
+        row[self.poset._index[x]] = _UNDEFINED if value is None else value
+
+    @property
+    def table(self) -> dict[tuple[str, str], Value]:
+        """Each (x, context) of the contexts with a row; None where undefined."""
+        ids = self.poset.elements
+        return {(x, t): None if e is _UNDEFINED else e
+                for t, row in zip(ids, self._rows) if row is not None
+                for x, e in zip(ids, row)}
 
     def get(self, x: str, context: str):
         """Value of w(x | context), or None where undefined."""
-        return self.table.get((x, context))
+        i, t = self.poset._index.get(x), self.poset._index.get(context)
+        row = None if i is None or t is None else self._rows[t]
+        return None if row is None or row[i] is _UNDEFINED else row[i]
 
     def value(self, x: str, context: str) -> Value:
         found = self.get(x, context)
@@ -306,12 +314,14 @@ class BiValuation:
         return found
 
     def contexts(self) -> list[str]:
-        return sorted({y for (_, y) in self.table})
+        return [t for t, row in zip(self.poset.elements, self._rows) if row is not None]
 
     def with_value(self, x: str, context: str, value: Value) -> "BiValuation":
-        updated = dict(self.table)
-        updated[(x, context)] = value
-        return BiValuation(self.poset, updated)
+        w = BiValuation(self.poset, {})  # shares every row but the one it changes
+        w._rows[:] = (row and list(row) if t == context else row
+                      for t, row in zip(self.poset.elements, self._rows))
+        w._put(x, context, value)
+        return w
 
 
 def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
@@ -322,21 +332,17 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
         if not audit.passed:
             raise ValueError(f"valuation fails the sum rule on "
                              f"{len(audit.violations)} pairs; cannot condition on it")
-    p = v.poset
-    meet = _table(p, p.meet)
+    p, w = v.poset, BiValuation(v.poset, {})
     values = [v.values[x] for x in p.elements]
-    table = {}
-    for j, (y, vy) in enumerate(zip(p.elements, values)):
-        if vy <= 0:
-            continue
-        for x, row in zip(p.elements, meet):
-            table[(x, y)] = values[row[j]] / vy
-    return BiValuation(p, table)
+    # the meet table is symmetric, so its row y is its column y
+    w._rows[:] = (None if vy <= 0 else [values[m] / vy for m in meets]
+                  for vy, meets in zip(values, _table(p, p.meet)))
+    return w
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
-    p, raw = w.poset, _context_rows(w)
+    p, raw = w.poset, w._rows
     down = [[p._index[x] for x in p.lower_bound([y])] for y in p.elements]
     below = [_gather(d) for d in down]
 
@@ -351,7 +357,7 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
-    p, raw = w.poset, _context_rows(w)
+    p, raw = w.poset, w._rows
     at_meet = [_gather(row) for row in _table(p, p.meet)]
     n = len(p)
     return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
@@ -361,7 +367,7 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered triples."""
-    p, raw = w.poset, _context_rows(w)
+    p, raw = w.poset, w._rows
     meet = _table(p, p.meet)
     at_meet = [_gather(row) for row in meet]
 
@@ -377,6 +383,5 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y)."""
-    p = w.poset
-    return _sum_rule("bisum", p, _context_rows(w),
-                     [p._index[t] for t in w.contexts()], tol)
+    contexts = [t for t, row in enumerate(w._rows) if row is not None]
+    return _sum_rule("bisum", w.poset, w._rows, contexts, tol)

@@ -363,6 +363,9 @@ USAGE_ERRORS = {
     "interval with one event": (["spacetime", "interval", "--scene", "scene.json",
                                  "--events", "a", "--frames", "rest"],
                                 "--events needs exactly two event ids"),
+    "interval with no frame id": (["spacetime", "interval", "--scene", "scene.json",
+                                   "--events", "e1,e2", "--frames", ","],
+                                  "interval needs a frame id in --frames, or --chains"),
     "unknown rule": (["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json",
                       "--rules", "sum,nonsense"],
                      f"unknown rules ['nonsense']; choose from {RULE_NAMES}"),

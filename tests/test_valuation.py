@@ -1,18 +1,19 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordinal import (LatticeMismatch, NegativeAtomValue, NotALattice,
+from ordinal import (BiValuation, LatticeMismatch, NegativeAtomValue, NotALattice,
                      UnknownElement, Valuation, ZeroMeasureContext,
                      bivaluation_from_valuation, boolean_lattice, chain_poset,
                      check_bivaluation_sum_rule, check_chain_rule,
                      check_context_product_rule, check_diamond_lemma,
                      check_monotone, check_product_rule_for_lattice_product,
-                     check_sum_rule, derive_valuation_from_atoms,
-                     lattice_product, pair_id, parse_subset_id)
+                     check_sum_rule, derive_valuation_from_atoms, divisor_lattice,
+                     lattice_product, pair_id, parse_subset_id, partition_lattice)
 
 WEIGHTS = {"a": 0.2, "b": 0.3, "c": 0.5}
 
@@ -71,6 +72,21 @@ def test_non_finite_atom_weight_rejected(b3, bad):
     # with a NaN or infinite weight every audit would pass vacuously
     with pytest.raises(ValueError, match="non-finite"):
         derive_valuation_from_atoms(b3, {"a": bad, "b": 0.6, "c": 0.5})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_rejected(b3, bad):
+    # a NaN residual never exceeds the tolerance, so every audit would pass
+    values = {e: float(len(parse_subset_id(e))) for e in b3.elements}
+    with pytest.raises(ValueError, match="non-finite"):
+        Valuation(b3, {**values, "{a}": bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        Valuation(b3, values).replace("{a,b}", bad)
+
+
+def test_undefined_value_accepted(b3):
+    values = {e: float(len(parse_subset_id(e))) for e in b3.elements}
+    assert Valuation(b3, {**values, "{a}": None})("{a}") is None
 
 
 def test_derive_needs_matching_boolean_lattice(b3):
@@ -185,6 +201,74 @@ def test_bivaluation_requires_sum_rule():
     bad = Valuation(b2, {"{}": 0.0, "{a}": 1.0, "{b}": 1.0, "{a,b}": 3.0})
     with pytest.raises(ValueError):
         bivaluation_from_valuation(bad)
+
+
+# --- bi-valuation rows, read through the public API only ---
+
+LATTICES = {"B4": lambda: boolean_lattice("abcd"),
+            "P4": lambda: partition_lattice("abcd"),
+            "D60": lambda: divisor_lattice(60)}
+
+
+def mixed_valuation(p, seed):
+    """Seeded ints, Fractions and floats on p, some zero or negative; v(bottom) = 0."""
+    rng = random.Random(seed)
+    draws = (lambda: rng.randint(-2, 9), lambda: rng.uniform(-1, 5),
+             lambda: Fraction(rng.randint(-2, 9), rng.randint(1, 7)))
+    values = {e: rng.choice(draws)() for e in p.elements}
+    return Valuation(p, {**values, p.bottom(): 0})
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_bivaluation_rows_match_public_calls(name):
+    p = LATTICES[name]()
+    v = mixed_valuation(p, seed=len(p))
+    w = bivaluation_from_valuation(v, validate=False)
+    for t in p.elements:
+        for x in p.elements:
+            expected = v(p.meet(x, t)) / v(t) if v(t) > 0 else None
+            assert w.get(x, t) == expected and type(w.get(x, t)) is type(expected)
+    contexts = [t for t in sorted(p.elements) if v(t) > 0]
+    assert w.contexts() == contexts
+    assert list(w.table) == [(x, t) for t in contexts for x in p.elements]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_bivaluation_survives_a_round_trip_through_its_table(name):
+    p = LATTICES[name]()
+    w = bivaluation_from_valuation(mixed_valuation(p, seed=len(p)), validate=False)
+    x, dead, live = p.top(), p.bottom(), w.contexts()[0]
+    emptied = w.with_value(x, dead, None)  # a context that holds only None
+    changed = w.with_value(x, live, 7)
+    assert dead not in w.contexts() and dead in emptied.contexts()
+    assert all(emptied.table[(y, dead)] is None for y in p.elements)
+    assert changed.get(x, live) == 7 != w.get(x, live)
+    for u in (w, emptied, changed):
+        back = BiValuation(p, u.table)
+        assert back.contexts() == u.contexts() and back.table == u.table
+        assert all(back.get(y, t) is u.get(y, t)
+                   for y in p.elements for t in p.elements)
+    for key in (("nope", x), (x, "nope")):
+        with pytest.raises(UnknownElement):
+            BiValuation(p, {key: 1})
+        with pytest.raises(UnknownElement):
+            w.with_value(*key, 1)
+
+
+def test_bivaluation_of_b9_stays_small():
+    # one row per context holds about 8 MB here; an (x, t)-keyed dict held 30 MB
+    lat = boolean_lattice("abcdefghi")
+    v = derive_valuation_from_atoms(lat, {a: (i + 1) / 16
+                                          for i, a in enumerate("abcdefghi")})
+    lat.is_lattice()
+    tracemalloc.start()
+    try:
+        w = bivaluation_from_valuation(v, validate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.contexts()) == len(lat) - 1
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 # --- chain rule ---
