@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import permutations, product
 
@@ -106,11 +107,12 @@ def test_transitive_reduction_equals_covers(b3, p3):
         assert reduced == set(p.covers)
 
 
-def random_dag_order(n, data):
-    """Reachability and transitive reduction of a random DAG on n nodes."""
+def random_dag_order(n, data, top=False, bottom=False):
+    """Reachability and transitive reduction of a random DAG on n nodes; with
+    top (bottom), the last (first) node lies above (below) every other."""
     # edges only point upward in node order
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)
-             if data.draw(st.booleans())}
+             if top and j == n - 1 or bottom and i == 0 or data.draw(st.booleans())}
     # brute-force reflexive-transitive closure, then its reduction
     reach = {(i, i) for i in range(n)} | set(edges)
     changed = True
@@ -191,11 +193,33 @@ def test_join_idempotent(b3):
         assert b3.meet(x, x) == x
 
 
-def test_bowtie_join_ambiguous(bowtie):
-    with pytest.raises(NoUniqueBound):
-        bowtie.join("p", "q")
-    with pytest.raises(NoUniqueBound):
-        bowtie.meet("r", "s")
+def test_bowtie_join_ambiguous():
+    # a fresh bowtie, so the first pass runs before any certification
+    bowtie = build_poset("pqrs", [("p", "r"), ("p", "s"), ("q", "r"), ("q", "s")])
+    join_text = "join of 'p' and 'q': 2 minimal upper bounds"
+    meet_text = "meet of 'r' and 's': 2 maximal lower bounds"
+    for certified in (False, True):
+        if certified:
+            assert not bowtie.is_lattice().is_lattice
+        for op, x, y, text in [(bowtie.join, "p", "q", join_text),
+                               (bowtie.join, "q", "p", join_text),
+                               (bowtie.meet, "r", "s", meet_text),
+                               (bowtie.meet, "s", "r", meet_text)]:
+            with pytest.raises(NoUniqueBound) as err:
+                op(x, y)
+            assert str(err.value) == text
+
+
+def test_join_and_meet_name_the_unknown_element():
+    p = divisor_lattice(12)
+    for certified in (False, True):
+        if certified:
+            assert p.is_lattice().is_lattice
+        for op in (p.join, p.meet):
+            for x, y, unknown in [("7", "2", "7"), ("2", "7", "7"), ("7", "8", "7")]:
+                with pytest.raises(UnknownElement) as err:
+                    op(x, y)
+                assert str(err.value) == f"element {unknown!r} is not in the poset"
 
 
 def test_join_without_any_upper_bound():
@@ -260,7 +284,12 @@ def assert_certificate_matches_brute_force(p):
                                   ("a", "1"), ("b", "1"), ("c", "1")]),  # M3
     lambda: build_poset("0abc1", [("0", "a"), ("a", "b"), ("b", "1"),
                                   ("0", "c"), ("c", "1")]),  # N5
-], ids=["B4-no-top", "B4-no-bottom", "bowtie", "M3", "N5"])
+    # bounded and passes checks (a) and (c) of Poset._standard_context, yet
+    # 5 and 7 have two maximal lower bounds, 1 and 2: only (b) rejects it
+    lambda: build_poset("012345678", [("0", "1"), ("0", "2"), ("1", "3"), ("1", "7"),
+                                      ("2", "4"), ("2", "5"), ("3", "5"), ("4", "6"),
+                                      ("5", "8"), ("6", "7"), ("7", "8")]),
+], ids=["B4-no-top", "B4-no-bottom", "bowtie", "M3", "N5", "two-meet-candidates"])
 def test_certificate_matches_brute_force_on_fixed_posets(factory):
     assert_certificate_matches_brute_force(factory())
 
@@ -275,6 +304,24 @@ def test_certificate_matches_brute_force_on_random_posets(n, data):
         build_poset(ids, [(ids[a], ids[b]) for a, b in reduction]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.booleans(), st.data())
+def test_certifier_matches_brute_force_on_posets_with_a_top(n, bottom, data):
+    _, reduction = random_dag_order(n, data, top=True, bottom=bottom)
+    ids = data.draw(st.permutations("abcdefghi"))[:n]
+    p = build_poset(ids, [(ids[a], ids[b]) for a, b in reduction])
+    assert p.top() == ids[n - 1]
+    assert_certificate_matches_brute_force(p)
+    if not p.is_lattice().is_lattice:
+        return
+    # a certified lattice answers from its extents and intents
+    for x in p.elements:
+        for y in p.elements:
+            upper, lower = p.upper_bound([x, y]), p.lower_bound([x, y])
+            assert [p.join(x, y)] == [z for z in upper if all(p.leq(z, w) for w in upper)]
+            assert [p.meet(x, y)] == [z for z in lower if all(p.leq(w, z) for w in lower)]
+
+
 def test_certifying_b10_keeps_no_per_pair_storage():
     p = boolean_lattice("abcdefghij")
     tracemalloc.start()
@@ -284,6 +331,22 @@ def test_certifying_b10_keeps_no_per_pair_storage():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_certifying_b14_keeps_no_per_pair_storage():
+    # one bit per pair would be 32 MiB at 16,384 elements, and the all-pairs
+    # meet scan this certifier replaced took about 73 s
+    p = boolean_lattice("abcdefghijklmn")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert p.is_lattice().is_lattice
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert elapsed < 20
 
 
 # --- consistency relations self-audit ---
@@ -304,6 +367,21 @@ def test_consistency_audits_the_public_join(monkeypatch):
     monkeypatch.setattr(p, "join", lambda x, y: "12" if (x, y) == ("2", "4") else join(x, y))
     report = verify_consistency_relations(p)
     assert [(v.instance, v.lhs, v.rhs) for v in report.violations] == [(("2", "4"), 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("table, expected", [
+    # join reads the intents: with int(2) := int(4), "2" joins like "4"
+    ("intent", [("1", "2"), ("2", "2"), ("2", "6")]),
+    # meet reads the extents: with ext(2) := ext(4), "2" meets like "4"
+    ("extent", [("2", "12"), ("2", "2"), ("2", "4")]),
+])
+def test_consistency_audits_the_narrow_tables(monkeypatch, table, expected):
+    p = divisor_lattice(12)
+    masks = getattr(p.is_lattice().context, table)
+    monkeypatch.setitem(masks, "2", masks["4"])
+    report = verify_consistency_relations(p)
+    assert [(v.instance, v.lhs, v.rhs) for v in report.violations] == [
+        (pair, 1.0, 0.0) for pair in expected]
 
 
 def test_consistency_powerset_of_three(b3):
@@ -445,6 +523,9 @@ def test_partition_lattice_sizes():
 def test_divisor_lattice_elements():
     p = divisor_lattice(60)
     assert sorted(int(d) for d in p.elements) == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+    for n in [*range(1, 301), 720720]:
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert divisor_lattice(n).elements == tuple(sorted(map(str, divisors)))
 
 
 # --- lattice product ---
