@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 
 from .errors import (CycleDetected, NoUniqueBound, NotALattice, RedundantCover,
                      TooManyAtoms, UnknownElement)
-from .partitions import Partition, all_partitions
 from .report import RuleViolation, build_report
 
 
@@ -371,11 +370,13 @@ def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> P
             mask |= down_t[tp[j]]
         down_t[pos] = mask
 
+    # [a, b] holds a and b, and anything else in it makes the cover redundant
     for a, b in cover_pairs:
         ta, tb = tp[index[a]], tp[index[b]]
-        between = (up_t[ta] & ~(1 << ta)) & (down_t[tb] & ~(1 << tb))
-        if between:
-            middle = ids[order[next(iter(_bits(between)))]]
+        interval = up_t[ta] & down_t[tb]
+        if interval.bit_count() > 2:
+            between = interval & ~(1 << ta | 1 << tb)
+            middle = ids[order[(between & -between).bit_length() - 1]]
             raise RedundantCover(
                 f"cover ({a!r}, {b!r}) is implied through {middle!r}")
 
@@ -443,66 +444,106 @@ def parse_subset_id(element: str) -> frozenset[str]:
     return frozenset(atoms)
 
 
+def _joined(atoms: Sequence[str], sep: str) -> list[str]:
+    """joined[m] is sep.join of the atoms whose bits are set in m, in atom
+    order. Atoms must be non-empty, so only joined[0] is empty."""
+    joined = [""]
+    for a in atoms:
+        joined += [s + sep + a if s else a for s in joined]
+    return joined
+
+
 def boolean_lattice(atoms: Iterable[str]) -> Poset:
-    """Powerset of the atoms ordered by inclusion; bottom is the empty set."""
+    """Powerset of the atoms ordered by inclusion; bottom is the empty set.
+
+    Atoms must be non-empty and contain no ',', so every element id reads
+    back through parse_subset_id. Subsets are bitmasks over the sorted
+    atoms: ids[m] is the subset_id of mask m, and each cover adds one bit.
+    """
     atom_list = sorted(set(atoms))
+    for a in atom_list:
+        if not a or "," in a:
+            raise ValueError(f"boolean atom {a!r} must be non-empty and contain no ','")
     if not atom_list:
         raise ValueError("boolean lattice needs at least one atom")
     if len(atom_list) > 16:
         raise TooManyAtoms(f"{len(atom_list)} atoms exceeds the bound of 16")
-    subsets = [frozenset()]
-    for a in atom_list:
-        subsets += [s | {a} for s in subsets]
-    elements = [subset_id(s) for s in subsets]
-    covers = [(subset_id(s), subset_id(s | {a}))
-              for s in subsets for a in atom_list if a not in s]
-    return build_poset(elements, covers)
+    ids = ["{" + s + "}" for s in _joined(atom_list, ",")]
+    bits = [1 << k for k in range(len(atom_list))]
+    covers = [(ids[m], ids[m | b]) for m in range(len(ids)) for b in bits if not m & b]
+    return build_poset(ids, covers)
 
 
 def partition_lattice(atoms: Iterable[str]) -> Poset:
     """All partitions ordered by refinement, finest at the bottom.
 
-    Element ids are canonical block strings; covers merge exactly two blocks.
+    Element ids are canonical block strings, as ``Partition.literal`` writes
+    them: ``a|bc`` when every atom is one character, ``[a1,b2]|[c3]``
+    otherwise. Atoms must be non-empty, contain none of ``|,[]`` and have
+    no surrounding whitespace, so every id reads back through
+    ``Partition.parse``. Covers merge exactly two blocks.
+
+    A partition is a list of block bitmasks over the sorted atoms, in order
+    of each block's least atom, which is the literal's block order; merging
+    two blocks keeps the first one's place, so ids come from a table of
+    block strings without building a Partition.
     """
     atom_list = sorted(set(atoms))
+    for a in atom_list:
+        if not a or a != a.strip() or any(c in a for c in "|,[]"):
+            raise ValueError(f"partition atom {a!r} must be non-empty, contain none "
+                             "of '|,[]' and have no surrounding whitespace")
     if not atom_list:
         raise ValueError("partition lattice needs at least one atom")
     if len(atom_list) > 8:
         raise TooManyAtoms(f"{len(atom_list)} atoms exceeds the enumeration bound of 8")
-    parts = list(all_partitions(atom_list))
-    elements = [p.literal() for p in parts]
-    covers = set()
+    if all(len(a) == 1 for a in atom_list):
+        block = _joined(atom_list, "")
+    else:
+        block = ["[" + s + "]" for s in _joined(atom_list, ",")]
+    parts: list[list[int]] = [[]]
+    for k in range(len(atom_list)):  # add atom k to each block, or alone
+        bit, grown = 1 << k, []
+        for part in parts:
+            for i in range(len(part)):
+                merged = part.copy()
+                merged[i] |= bit
+                grown.append(merged)
+            grown.append(part + [bit])
+        parts = grown
+    elements, covers = [], []
     for part in parts:
-        blocks = part.sorted_blocks()
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                merged = ([list(b) for k, b in enumerate(blocks) if k not in (i, j)]
-                          + [list(blocks[i]) + list(blocks[j])])
-                covers.add((part.literal(), Partition.from_blocks(merged).literal()))
-    return build_poset(elements, sorted(covers))
+        names = [block[b] for b in part]
+        pid = "|".join(names)
+        elements.append(pid)
+        for j in range(1, len(part)):
+            rest = names[:j] + names[j + 1:]
+            for i in range(j):
+                covers.append((pid, "|".join(
+                    [*rest[:i], block[part[i] | part[j]], *rest[i + 1:]])))
+    return build_poset(elements, covers)
 
 
 def divisor_lattice(n: int) -> Poset:
-    """Divisors of n under 'divides'; join is lcm and meet is gcd."""
+    """Divisors of n under 'divides'; join is lcm and meet is gcd.
+
+    Each divisor d is covered by d * q for each prime q with d * q | n.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     divisors = sorted({*small, *(n // d for d in small)})
-    covers = [(str(a), str(b))
-              for a in divisors for b in divisors
-              if a < b and b % a == 0 and _is_prime(b // a)]
-    return build_poset([str(d) for d in divisors], covers)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
+    primes, rest, f = [], n, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
         f += 1
-    return True
+    if rest > 1:
+        primes.append(rest)
+    covers = [(str(d), str(d * q)) for d in divisors for q in primes if n % (d * q) == 0]
+    return build_poset([str(d) for d in divisors], covers)
 
 
 def pair_id(x: str, y: str) -> str:

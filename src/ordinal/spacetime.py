@@ -267,10 +267,14 @@ def boost_frame(k: Rational) -> Boost:
     return Boost(_frac(k))
 
 
-def causal_grid(n: int) -> list[Event]:
-    """Events at every integer (t, x) with 0 <= t, x < n."""
+def _require_grid_size(n: int) -> None:
     if not 1 <= n <= 64:
         raise BoundExceeded(f"grid size {n} outside 1..64")
+
+
+def causal_grid(n: int) -> list[Event]:
+    """Events at every integer (t, x) with 0 <= t, x < n."""
+    _require_grid_size(n)
     return [Event(Fraction(t), Fraction(x)) for t in range(n) for x in range(n)]
 
 
@@ -281,16 +285,13 @@ def grid_event_id(e: Event) -> str:
 def causal_grid_poset(n: int) -> Poset:
     """The causal order on causal_grid(n) as an explicit poset.
 
-    Covers step one unit of time and at most one unit of space.
+    Covers step one unit of time and at most one unit of space. Element ids
+    are grid_event_id's ``(t,x)``, written from the integers without
+    building the Events.
     """
-    events = causal_grid(n)
-    covers = []
-    for e in events:
-        if e.t == n - 1:
-            continue
-        for dx in (-1, 0, 1):
-            x2 = e.x + dx
-            if 0 <= x2 < n:
-                covers.append((grid_event_id(e),
-                               grid_event_id(Event(e.t + 1, x2))))
-    return build_poset([grid_event_id(e) for e in events], covers)
+    _require_grid_size(n)
+    ids = [[f"({t},{x})" for x in range(n)] for t in range(n)]
+    covers = [(here[x], later[x2])
+              for here, later in zip(ids, ids[1:])
+              for x in range(n) for x2 in (x - 1, x, x + 1) if 0 <= x2 < n]
+    return build_poset([e for row in ids for e in row], covers)

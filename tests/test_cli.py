@@ -351,6 +351,10 @@ USAGE_ERRORS = {
                                             "boolean lattice needs at least one atom"),
     "gen partition without --atoms": (["poset", "gen", "partition"],
                                       "gen partition requires --atoms"),
+    "gen partition with an atom that reads as two blocks": (
+        ["poset", "gen", "partition", "--atoms", "a|b,c"],
+        "partition atom 'a|b' must be non-empty, contain none of '|,[]' "
+        "and have no surrounding whitespace"),
     "gen divisors without --n": (["poset", "gen", "divisors"], "gen divisors requires --n"),
     "gen divisors with --n 0": (["poset", "gen", "divisors", "--n", "0"],
                                 "n must be a positive integer"),

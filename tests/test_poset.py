@@ -15,6 +15,10 @@ from ordinal import (CycleDetected, LatticeCertificate, NoUniqueBound,
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
 
 
+def is_prime(m):
+    return m > 1 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+
 def brute_lower_bound(p, s):
     return [z for z in p.elements if all(p.leq(z, x) for x in s)]
 
@@ -42,8 +46,16 @@ def test_self_cover_rejected():
 
 
 def test_redundant_cover_rejected():
-    with pytest.raises(RedundantCover):
+    with pytest.raises(RedundantCover) as info:
         build_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    assert str(info.value) == "cover ('a', 'c') is implied through 'b'"
+
+
+def test_redundant_cover_names_the_lowest_topological_middle():
+    # b and c both sit between a and d; the topological order is a, c, b, d
+    with pytest.raises(RedundantCover) as info:
+        build_poset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("a", "d")])
+    assert str(info.value) == "cover ('a', 'd') is implied through 'c'"
 
 
 def test_unknown_cover_endpoint_rejected():
@@ -525,7 +537,11 @@ def test_divisor_lattice_elements():
     assert sorted(int(d) for d in p.elements) == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
     for n in [*range(1, 301), 720720]:
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        assert divisor_lattice(n).elements == tuple(sorted(map(str, divisors)))
+        p = divisor_lattice(n)
+        assert p.elements == tuple(sorted(map(str, divisors)))
+        covers = [(str(a), str(b)) for a in divisors for b in divisors
+                  if a < b and b % a == 0 and is_prime(b // a)]
+        assert p.covers == tuple(sorted(covers))
 
 
 # --- lattice product ---

@@ -351,10 +351,11 @@ def test_causal_grid_counts():
 
 
 def test_causal_grid_bounds():
-    with pytest.raises(BoundExceeded):
-        causal_grid(0)
-    with pytest.raises(BoundExceeded):
-        causal_grid(65)
+    for make in (causal_grid, causal_grid_poset):
+        with pytest.raises(BoundExceeded, match=r"^grid size 0 outside 1\.\.64$"):
+            make(0)
+        with pytest.raises(BoundExceeded, match=r"^grid size 65 outside 1\.\.64$"):
+            make(65)
 
 
 def test_causal_grid_poset_matches_predicate():
