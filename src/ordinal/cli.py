@@ -8,39 +8,39 @@ import sys
 
 from . import __version__
 from .errors import NotQuantifiable, NotSynchronized, OrdinalError
-from .information import mutual_information, partition_entropy
-from .partitions import Partition
-from .poset import (boolean_lattice, divisor_lattice, partition_lattice,
-                    verify_consistency_relations)
-from .serialize import (dumps_canonical, load_atom_values, load_distribution,
-                        load_poset, load_scene, load_valuation, poset_to_dot)
-from .spacetime import (causal_grid_poset, check_synchronized, interval_pair,
-                        project)
-from .valuation import (Valuation, bivaluation_from_valuation,
-                        check_bivaluation_sum_rule, check_chain_rule,
-                        check_context_product_rule, check_diamond_lemma,
-                        check_monotone, check_sum_rule,
-                        derive_valuation_from_atoms, require_tolerance)
 
-# rule -> (audit, whether it audits w(x | y) = v(x ^ y) / v(y) instead of v)
+# Each command imports the modules it uses when it runs, and the tables below
+# name their functions as "module:function", resolved when dispatched, so a
+# run never compiles the modules of the commands it does not run.
+
+# rule -> (audit, whether it audits w(x | y) = v(x ^ y) / v(y) instead of v,
+# whether it takes --tol)
 AUDITS = {
-    "sum": (check_sum_rule, False),
-    "bisum": (check_bivaluation_sum_rule, True),
-    "chain": (check_chain_rule, True),
-    "diamond": (check_diamond_lemma, True),
-    "context": (check_context_product_rule, True),
-    "monotone": (lambda v, tol: check_monotone(v), False),  # an order check, at tolerance 0
+    "sum": ("valuation:check_sum_rule", False, True),
+    "bisum": ("valuation:check_bivaluation_sum_rule", True, True),
+    "chain": ("valuation:check_chain_rule", True, True),
+    "diamond": ("valuation:check_diamond_lemma", True, True),
+    "context": ("valuation:check_context_product_rule", True, True),
+    "monotone": ("valuation:check_monotone", False, False),  # an order check, at tolerance 0
 }
 RULE_CHECKS = tuple(AUDITS)
 DEFAULT_RULES = "sum,bisum,chain,diamond,context"
 
 # poset kind -> (generator, the flag that gives its argument)
 GENERATORS = {
-    "boolean": (boolean_lattice, "atoms"),
-    "partition": (partition_lattice, "atoms"),
-    "divisors": (divisor_lattice, "n"),
-    "grid": (causal_grid_poset, "n"),
+    "boolean": ("poset:boolean_lattice", "atoms"),
+    "partition": ("poset:partition_lattice", "atoms"),
+    "divisors": ("poset:divisor_lattice", "n"),
+    "grid": ("spacetime:causal_grid_poset", "n"),
 }
+
+
+def _resolve(ref: str):
+    """The function a ``module:function`` table entry names, importing its
+    ``ordinal`` submodule now."""
+    module, name = ref.split(":")
+    # __import__ is the import statement's path, which -X importtime reports
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,6 +122,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_payload(args, payload: dict, text_lines: list[str]) -> None:
+    from .serialize import dumps_canonical
+
     if args.format == "json":
         _emit(args, dumps_canonical(payload))
     else:
@@ -136,6 +138,9 @@ def _two_ids(text: str, what: str) -> list[str]:
 
 
 def _cmd_poset_check(args) -> int:
+    from .poset import verify_consistency_relations
+    from .serialize import load_poset
+
     p = load_poset(args.input)
     cert = p.is_lattice()
     payload = {"elements": len(p), "covers": len(p.covers),
@@ -156,22 +161,30 @@ def _cmd_poset_check(args) -> int:
 
 
 def _cmd_poset_dot(args) -> int:
+    from .serialize import load_poset, poset_to_dot
+
     _emit(args, poset_to_dot(load_poset(args.input)))
     return 0
 
 
 def _cmd_poset_gen(args) -> int:
-    generate, flag = GENERATORS[args.kind]
+    from .serialize import dumps_canonical
+
+    generator, flag = GENERATORS[args.kind]
     arg = getattr(args, flag)
     if arg in (None, ""):
         raise OrdinalError(f"gen {args.kind} requires --{flag}")
     if flag == "atoms":
         arg = [a for a in arg.split(",") if a]
-    _emit(args, dumps_canonical(generate(arg).to_dict()))
+    _emit(args, dumps_canonical(_resolve(generator)(arg).to_dict()))
     return 0
 
 
-def _load_audit_valuation(args) -> Valuation:
+def _load_audit_valuation(args):
+    """The valuation.Valuation that the audit flags name."""
+    from .serialize import load_atom_values, load_poset, load_valuation
+    from .valuation import Valuation, derive_valuation_from_atoms
+
     if args.valuation:
         return load_valuation(args.valuation)
     if not args.poset:
@@ -186,6 +199,8 @@ def _load_audit_valuation(args) -> Valuation:
 
 
 def _cmd_rules_audit(args) -> int:
+    from .valuation import bivaluation_from_valuation, require_tolerance
+
     v = _load_audit_valuation(args)
     requested = [r for r in args.rules.split(",") if r]
     unknown = [r for r in requested if r not in AUDITS]
@@ -197,8 +212,11 @@ def _cmd_rules_audit(args) -> int:
     require_tolerance(tol)
     audits = [AUDITS[r] for r in requested]
     w = (bivaluation_from_valuation(v, tol, validate=False)
-         if any(on_w for _, on_w in audits) else None)
-    reports = [audit(w if on_w else v, tol) for audit, on_w in audits]
+         if any(on_w for _, on_w, _ in audits) else None)
+    reports = []
+    for ref, on_w, with_tol in audits:
+        audit, subject = _resolve(ref), (w if on_w else v)
+        reports.append(audit(subject, tol) if with_tol else audit(subject))
     passed = all(r.passed for r in reports)
     payload = {"tolerance": tol, "passed": passed,
                "reports": [r.to_dict() for r in reports]}
@@ -211,6 +229,10 @@ def _cmd_rules_audit(args) -> int:
 
 
 def _cmd_info_entropy(args) -> int:
+    from .information import partition_entropy
+    from .partitions import Partition
+    from .serialize import load_distribution
+
     d = load_distribution(args.dist)
     part = Partition.parse(args.partition)
     h = partition_entropy(part, d)
@@ -220,6 +242,10 @@ def _cmd_info_entropy(args) -> int:
 
 
 def _cmd_info_mutual(args) -> int:
+    from .information import mutual_information
+    from .partitions import Partition
+    from .serialize import load_distribution
+
     d = load_distribution(args.dist)
     a, b = Partition.parse(args.a), Partition.parse(args.b)
     rep = mutual_information(a, b, d)
@@ -231,6 +257,9 @@ def _cmd_info_mutual(args) -> int:
 
 
 def _cmd_st_project(args) -> int:
+    from .serialize import load_scene
+    from .spacetime import project
+
     scene = load_scene(args.scene)
     e = scene.event(args.event)
     c = scene.chain(args.chain)
@@ -250,6 +279,9 @@ def _cmd_st_project(args) -> int:
 
 
 def _cmd_st_sync(args) -> int:
+    from .serialize import load_scene
+    from .spacetime import check_synchronized
+
     scene = load_scene(args.scene)
     names = _two_ids(args.chains, "chain")
     lo, hi = (int(part) for part in args.range.split(","))
@@ -262,6 +294,9 @@ def _cmd_st_sync(args) -> int:
 
 
 def _cmd_st_interval(args) -> int:
+    from .serialize import load_scene
+    from .spacetime import interval_pair
+
     scene = load_scene(args.scene)
     names = _two_ids(args.events, "event")
     e1, e2 = scene.event(names[0]), scene.event(names[1])

@@ -7,12 +7,17 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import OrdinalError
-from .information import AtomDistribution
-from .poset import Poset, build_poset
-from .spacetime import Event, ObserverChain
-from .valuation import Valuation, derive_valuation_from_atoms
+
+# each loader imports its domain module when it is called, so a command
+# loads only the modules it reads
+if TYPE_CHECKING:
+    from .information import AtomDistribution
+    from .poset import Poset
+    from .spacetime import Event, ObserverChain
+    from .valuation import Valuation
 
 
 def dumps_canonical(payload) -> str:
@@ -47,6 +52,8 @@ def load_poset(path) -> Poset:
 
     Elements are non-empty strings; each cover is a list of two of them.
     """
+    from .poset import build_poset
+
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise OrdinalError(f"malformed poset document {path}: not a JSON object")
@@ -83,6 +90,8 @@ def load_valuation(path) -> Valuation:
 
     The poset path is resolved relative to the valuation document.
     """
+    from .valuation import Valuation, derive_valuation_from_atoms
+
     doc = _load_json(path)
     try:
         poset_path = Path(path).parent / doc["poset"]
@@ -103,6 +112,8 @@ def load_valuation(path) -> Valuation:
 
 def load_distribution(path) -> AtomDistribution:
     """Read ``{"probs": {"a": 0.5, ...}}``."""
+    from .information import AtomDistribution
+
     doc = _load_json(path)
     if not isinstance(doc, dict) or "probs" not in doc:
         raise OrdinalError(f"{path} lacks a 'probs' mapping")
@@ -153,6 +164,8 @@ class Scene:
 
 def load_scene(path) -> Scene:
     """Read a scene document; all rationals are strings like ``"3/4"``."""
+    from .spacetime import Event, ObserverChain
+
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise OrdinalError(f"malformed scene document {path}: not a JSON object")

@@ -358,6 +358,9 @@ USAGE_ERRORS = {
     "gen divisors without --n": (["poset", "gen", "divisors"], "gen divisors requires --n"),
     "gen divisors with --n 0": (["poset", "gen", "divisors", "--n", "0"],
                                 "n must be a positive integer"),
+    "gen divisors with --n above 10**12": (
+        ["poset", "gen", "divisors", "--n", "1000000000001"],
+        "divisor lattice n = 1000000000001 exceeds 10**12"),
     "gen grid without --n": (["poset", "gen", "grid"], "gen grid requires --n"),
     "sync with one chain": (["spacetime", "sync", "--scene", "scene.json", "--chains", "a",
                              "--range", "0,10"], "--chains needs exactly two chain ids"),

@@ -6,10 +6,10 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordinal import (CycleDetected, LatticeCertificate, NoUniqueBound,
-                     NotALattice, RedundantCover, TooManyAtoms, UnknownElement,
-                     boolean_lattice, build_poset, chain_poset, divisor_lattice,
-                     lattice_product, pair_id, parse_subset_id,
+from ordinal import (BoundExceeded, CycleDetected, LatticeCertificate,
+                     NoUniqueBound, NotALattice, RedundantCover, TooManyAtoms,
+                     UnknownElement, boolean_lattice, build_poset, chain_poset,
+                     divisor_lattice, lattice_product, pair_id, parse_subset_id,
                      partition_lattice, subset_id, verify_consistency_relations)
 
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
@@ -542,6 +542,16 @@ def test_divisor_lattice_elements():
         covers = [(str(a), str(b)) for a in divisors for b in divisors
                   if a < b and b % a == 0 and is_prime(b // a)]
         assert p.covers == tuple(sorted(covers))
+
+
+def test_divisor_lattice_bound():
+    # the most divisors of any n up to the bound
+    p = divisor_lattice(963761198400)
+    assert (len(p), len(p.covers)) == (6720, 35776)
+    assert len(divisor_lattice(10**12)) == 169
+    for n in (10**12 + 1, 10**18 + 9, 897612484786617600):
+        with pytest.raises(BoundExceeded, match=rf"^divisor lattice n = {n} exceeds 10\*\*12$"):
+            divisor_lattice(n)
 
 
 # --- lattice product ---
