@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -284,7 +283,10 @@ def _cmd_st_sync(args) -> int:
 
     scene = load_scene(args.scene)
     names = _two_ids(args.chains, "chain")
-    lo, hi = (int(part) for part in args.range.split(","))
+    try:
+        lo, hi = map(int, args.range.split(","))
+    except ValueError:
+        raise OrdinalError(f"--range needs two integers lo,hi, got {args.range!r}") from None
     ok = check_synchronized(scene.chain(names[0]), scene.chain(names[1]), (lo, hi))
     payload = {"chains": names, "range": [lo, hi], "synchronized": ok}
     _emit_payload(args, payload,
@@ -362,7 +364,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[(args.group, args.command)](args)
-    except (OrdinalError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OrdinalError, OSError, ValueError) as exc:  # json's decode error is a ValueError
         print(f"ordinal: error: {exc}", file=sys.stderr)
         return 2
 

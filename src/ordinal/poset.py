@@ -93,7 +93,6 @@ class Poset:
                  order: list[int], up_t: list[int], down_t: list[int]):
         self.elements: tuple[str, ...] = tuple(elements)
         self.covers: tuple[tuple[str, str], ...] = tuple(covers)
-        self._index = {e: i for i, e in enumerate(self.elements)}
         # order[pos] = lexicographic index of the element at topological
         # position pos. Masks live in position space; _at and _pos map
         # positions to elements and back.
@@ -111,7 +110,7 @@ class Poset:
         return len(self.elements)
 
     def __contains__(self, element: str) -> bool:
-        return element in self._index
+        return element in self._pos
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"

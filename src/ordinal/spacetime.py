@@ -146,11 +146,14 @@ def check_synchronized(p: ObserverChain, q: ObserverChain,
     """Do successive elements of each chain project onto successive elements
     of the other, across the given index window? A constant offset is fine.
 
-    An empty window (``hi < lo``) would pass vacuously, so it raises
-    ValueError instead."""
+    An empty window (``hi < lo``), or one of one index, compares no step and
+    would pass vacuously, so it raises ValueError instead."""
     lo, hi = index_range
     if hi < lo:
         raise ValueError(f"empty index window [{lo}, {hi}]")
+    if hi == lo:
+        raise ValueError(f"index window [{lo}, {hi}] holds one index, so it "
+                         "compares no step")
     for a, b in ((p, q), (q, p)):
         previous = None
         for i in range(lo, hi + 1):
@@ -205,9 +208,10 @@ def _sync_window(indices: Iterable[int], p: ObserverChain,
     """The index window around the events over which p and q must agree.
 
     It ends where an element of either chain would project past the other
-    chain's range. A window clipped to fewer than two indices would pass
-    vacuously, so it takes the last two indices that project inside; if
-    the chains have no two such indices, that raises NotSynchronized.
+    chain's range; a window past that end takes the last two indices that
+    project inside. A window of one index would pass vacuously, so it takes
+    the index below it. If the chains have no two such indices, that raises
+    NotSynchronized.
     """
     lo, hi = min(indices), max(indices)
     if hi == lo:
@@ -222,10 +226,12 @@ def _sync_window(indices: Iterable[int], p: ObserverChain,
     last = min(_last_inside(p, q), _last_inside(q, p))
     if hi > last:
         lo, hi = min(lo, last - 1), last
-        if lo < max(p.index_range[0], q.index_range[0]):
-            raise NotSynchronized(
-                "chains project into each other's ranges on fewer than two "
-                "indices, so synchronization cannot be verified")
+    elif hi == lo:
+        lo -= 1
+    if lo < max(p.index_range[0], q.index_range[0]):
+        raise NotSynchronized(
+            "chains project into each other's ranges on fewer than two "
+            "indices, so synchronization cannot be verified")
     return lo, hi
 
 

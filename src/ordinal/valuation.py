@@ -15,20 +15,21 @@ floats with an explicit tolerance, or Fractions with tolerance 0 for exact
 fixtures. A tolerance must be finite and non-negative; a NaN or infinite one
 would pass anything. Contexts with zero measure are skipped and counted.
 
-All but the product rule run on one kernel in element-index space, on rows
-indexed by element, one per context; join/meet become index tables built per
-call. A valuation is one such row. A bi-valuation is stored as its rows, one
-per context with an entry, and the audits read them as they are:
-``BiValuation.table`` builds an (x, t)-keyed dict on each access, and no
-audit calls it. A row is exact when each of its defined values is an int or
-a Fraction; it is then scaled to the lcm of its denominators. Each rule
+All but the product rule run on one kernel, on rows indexed by the poset's
+topological positions, one per context. The order comes from the poset's
+down-set rows, and meets and joins from the certificate's extents and intents,
+in n x n tables built per call. A valuation is one such row. A bi-valuation is
+stored as its rows, one per context with an entry, and the audits read them as
+they are: ``BiValuation.table`` builds an (x, t)-keyed dict on each access,
+and no audit calls it. A row is exact when each of its defined values is an
+int or a Fraction; it is then scaled to the lcm of its denominators. Each rule
 tests its instances in blocks that read one or two rows, and the choice is
 made per block: a block whose rows are all exact tests integers, where a
 difference d at scale S violates iff |d| > floor(tol * S), which is exactly
 |lhs - rhs| > tol. Any other block is tested on the values as they are, with
-the same operations as a plain loop, so float residuals are bit-identical.
-So an int bottom or one float entry changes the arithmetic of the blocks
-that read its row and no others.
+the same operations as a plain loop, so float residuals are bit-identical. So
+an int bottom or one float entry changes the arithmetic of the blocks that
+read its row and no others.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from typing import Mapping, Union
 
 from .errors import (LatticeMismatch, NegativeAtomValue, UnknownElement,
                      ZeroMeasureContext)
-from .poset import Poset, pair_id, parse_subset_id
+from .poset import Poset, _bits, pair_id, parse_subset_id
 from .report import RuleReport, RuleViolation, build_report
 
 Value = Union[int, float, Fraction]
@@ -125,15 +126,15 @@ def require_tolerance(tol) -> None:
 def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
-    ``raw[t][x]`` is the value at element x in context t, or _UNDEFINED,
-    and a row of None is empty.
+    ``raw[t][x]`` is the value at the element in position x in the context
+    in position t, or _UNDEFINED, and a row of None is empty.
     ``blocks`` yields each block's key, the context rows it reads and its
     number of instances; every instance reads each of those rows, so a
     block reading a row with no defined value is skipped whole.
     ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
     their scale, on the exact rows in integers (row t times scale[t], the
     lcm of its denominators) or on raw at scale 1; ``instance(key, k)`` the
-    element indices of its k-th instance. The module docstring says which
+    positions of its k-th instance. The module docstring says which
     blocks get which arithmetic. A block with violations is evaluated once
     more on the raw values, which gives the violations' sides in the
     values' own arithmetic.
@@ -183,15 +184,17 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False) -> RuleRep
             sides = list(zip(*block(raw, ones, key)[:2]))
             for k in found:
                 a, b = sides[k]
-                ids = tuple(p.elements[i] for i in instance(key, k))
+                ids = tuple(p._at[i] for i in instance(key, k))
                 violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
     return build_report(rule, checked, tol, violations, skipped)
 
 
-def _table(p: Poset, op) -> list[list[int]]:
-    """n x n element indices of op(x, y), op being p.join or p.meet."""
-    p._require_lattice()
-    return [[p._index[op(x, y)] for y in p.elements] for x in p.elements]
+def _table(p: Poset, join: bool = False) -> list[list[int]]:
+    """n x n positions of x ^ y (x v y if join), by intersecting extents (intents)."""
+    c = p._require_lattice()
+    masks, owner = (c.intent, c.by_intent) if join else (c.extent, c.by_extent)
+    at, row = {m: p._pos[e] for m, e in owner.items()}, [masks[e] for e in p._at]
+    return [[at[a & b] for b in row] for a in row]
 
 
 def _gather(indices):
@@ -207,12 +210,12 @@ def _times(stream, s):
 
 
 def _sum_rule(rule: str, p: Poset, raw, contexts, tol) -> RuleReport:
-    """The sum rule in each context row; instances are (x, y) or (t, x, y)."""
-    n = len(p)
-    xs = [x for x in range(n) for _ in range(x + 1, n)]
-    ys = [y for x in range(n) for y in range(x + 1, n)]
+    """The sum rule in each context row; instances (x, y) or (t, x, y), ids x < y."""
+    n, order = len(p), [p._pos[e] for e in p.elements]
+    xs = [order[x] for x in range(n) for _ in range(x + 1, n)]
+    ys = [order[y] for x in range(n) for y in range(x + 1, n)]
     joins, meets = ([op[x][y] for x, y in zip(xs, ys)]
-                    for op in (_table(p, p.join), _table(p, p.meet)))
+                    for op in (_table(p, join=True), _table(p)))
     at_join, at_meet, at_x, at_y = map(_gather, (joins, meets, xs, ys))
 
     def block(rows, scale, t):
@@ -224,8 +227,8 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol) -> RuleReport:
 
 
 def _valuation_row(v: Valuation) -> list:
-    """v's values indexed by element, the one context row of its audits."""
-    return [_UNDEFINED if e is None else e for e in map(v.values.__getitem__, v.poset.elements)]
+    """v's values indexed by position, the one context row of its audits."""
+    return [_UNDEFINED if e is None else e for e in map(v.values.__getitem__, v.poset._at)]
 
 
 # --- valuations ---
@@ -237,11 +240,9 @@ def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     """Audit x <= y  =>  v(x) <= v(y)."""
-    p = v.poset
-    pairs = [(i, j) for i, x in enumerate(p.elements)
-             for j, y in enumerate(p.elements) if x != y and p.leq(x, y)]
+    pairs = [(i, j) for j, down in enumerate(v.poset._down_t) for i in _bits(down) if i != j]
     at_lower, at_upper = (_gather([pair[end] for pair in pairs]) for end in (0, 1))
-    return _kernel("monotone", tol, p, [_valuation_row(v)], [(0, (0,), len(pairs))],
+    return _kernel("monotone", tol, v.poset, [_valuation_row(v)], [(0, (0,), len(pairs))],
                    lambda rows, scale, t: (at_lower(rows[t]), at_upper(rows[t]), scale[t]),
                    lambda _, k: pairs[k], signed=True)
 
@@ -274,10 +275,10 @@ def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
 class BiValuation:
     """w(x | y): the degree to which context y includes x.
 
-    Stored as one row per context, indexed by element, which is the audit
-    kernel's layout: ``_rows[t][x]`` is w(x | t) or _UNDEFINED, and a context
-    with no entry has no row (None). ``table`` builds the (x, context)-keyed
-    dict the constructor takes on each access; no audit calls it.
+    Stored as one row per context, both indexed by position, which is the
+    audit kernel's layout: ``_rows[t][x]`` is w(x | t) or _UNDEFINED, and a
+    context with no entry has no row (None). ``table`` builds the (x,
+    context)-keyed dict the constructor takes on each access; no audit calls it.
     """
 
     def __init__(self, poset: Poset, table: Mapping[tuple[str, str], Value]):
@@ -289,21 +290,21 @@ class BiValuation:
         """Set w(x | y) in place, giving context y a row if it has none."""
         if x not in self.poset or y not in self.poset:
             raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) is not in the poset")
-        t = self.poset._index[y]
+        t = self.poset._pos[y]
         row = self._rows[t] = self._rows[t] or [_UNDEFINED] * len(self.poset)
-        row[self.poset._index[x]] = _UNDEFINED if value is None else value
+        row[self.poset._pos[x]] = _UNDEFINED if value is None else value
 
     @property
     def table(self) -> dict[tuple[str, str], Value]:
         """Each (x, context) of the contexts with a row; None where undefined."""
-        ids = self.poset.elements
-        return {(x, t): None if e is _UNDEFINED else e
-                for t, row in zip(ids, self._rows) if row is not None
-                for x, e in zip(ids, row)}
+        ids, pos = self.poset.elements, self.poset._pos
+        in_id_order = _gather([pos[e] for e in ids])
+        return {(x, t): None if e is _UNDEFINED else e for t in self.contexts()
+                for x, e in zip(ids, in_id_order(self._rows[pos[t]]))}
 
     def get(self, x: str, context: str):
         """Value of w(x | context), or None where undefined."""
-        i, t = self.poset._index.get(x), self.poset._index.get(context)
+        i, t = self.poset._pos.get(x), self.poset._pos.get(context)
         row = None if i is None or t is None else self._rows[t]
         return None if row is None or row[i] is _UNDEFINED else row[i]
 
@@ -314,12 +315,12 @@ class BiValuation:
         return found
 
     def contexts(self) -> list[str]:
-        return [t for t, row in zip(self.poset.elements, self._rows) if row is not None]
+        return [t for t in self.poset.elements if self._rows[self.poset._pos[t]]]
 
     def with_value(self, x: str, context: str, value: Value) -> "BiValuation":
         w = BiValuation(self.poset, {})  # shares every row but the one it changes
         w._rows[:] = (row and list(row) if t == context else row
-                      for t, row in zip(self.poset.elements, self._rows))
+                      for t, row in zip(self.poset._at, self._rows))
         w._put(x, context, value)
         return w
 
@@ -333,17 +334,17 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
             raise ValueError(f"valuation fails the sum rule on "
                              f"{len(audit.violations)} pairs; cannot condition on it")
     p, w = v.poset, BiValuation(v.poset, {})
-    values = [v.values[x] for x in p.elements]
+    values = [v.values[x] for x in p._at]
     # the meet table is symmetric, so its row y is its column y
     w._rows[:] = (None if vy <= 0 else [values[m] / vy for m in meets]
-                  for vy, meets in zip(values, _table(p, p.meet)))
+                  for vy, meets in zip(values, _table(p)))
     return w
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
     p, raw = w.poset, w._rows
-    down = [[p._index[x] for x in p.lower_bound([y])] for y in p.elements]
+    down = [list(_bits(mask)) for mask in p._down_t]
     below = [_gather(d) for d in down]
 
     def block(rows, scale, key):  # x runs over the elements below y
@@ -358,7 +359,7 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
     p, raw = w.poset, w._rows
-    at_meet = [_gather(row) for row in _table(p, p.meet)]
+    at_meet = [_gather(row) for row in _table(p)]
     n = len(p)
     return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
                    lambda rows, scale, x: (rows[x], at_meet[x](rows[x]), scale[x]),
@@ -368,7 +369,7 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered triples."""
     p, raw = w.poset, w._rows
-    meet = _table(p, p.meet)
+    meet = _table(p)
     at_meet = [_gather(row) for row in meet]
 
     def block(rows, scale, key):  # z runs over all elements

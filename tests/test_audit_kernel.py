@@ -131,10 +131,12 @@ def test_kernel_matches_reference_on_mixed_tables(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["P3", "P4", "D60", "C4"]), st.data())
+@given(st.sampled_from(["P3", "P4", "D60", "C4", "C5"]), st.data())
 def test_kernel_matches_reference_on_other_lattices(name, data):
+    # C5's labels sort against its order: z is the bottom and v the top
     lat = {"P3": partition_lattice("abc"), "P4": partition_lattice("abcd"),
-           "D60": divisor_lattice(60), "C4": chain_poset("wxyz")}[name]
+           "D60": divisor_lattice(60), "C4": chain_poset("wxyz"),
+           "C5": chain_poset("zyxwv")}[name]
     kind = data.draw(st.sampled_from(KINDS))
     values = data.draw(st.lists(number(kind), min_size=len(lat), max_size=len(lat)))
     v = Valuation(lat, dict(zip(lat.elements, values)))
@@ -151,6 +153,17 @@ def test_chain_rule_on_a_poset_that_is_not_a_lattice(bowtie):
               BiValuation(bowtie, {k: float(v or 0) for k, v in table.items()})):
         for tol in (0, 1e-9):
             assert_same_report(check_chain_rule(w, tol), ref.check_chain_rule(w, tol))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_monotone_on_a_poset_that_is_not_a_lattice(bowtie, data):
+    # the monotone audit reads only the order, not joins or meets
+    kind = data.draw(st.sampled_from(KINDS))
+    values = data.draw(st.lists(number(kind), min_size=4, max_size=4))
+    v = Valuation(bowtie, dict(zip(bowtie.elements, values)))
+    tol = data.draw(tolerances)
+    assert_same_report(check_monotone(v, tol), ref.check_monotone(v, tol))
 
 
 def test_audits_of_an_empty_poset_check_nothing():
@@ -230,6 +243,9 @@ GOLDEN_RUNS = {
     # total values: ints with four floats, two of them off the sum rule
     "b4-mixed": (1, ["--poset", "b4.json", "--values", "mixed4.json", "--rules",
                      "sum,bisum,chain,diamond,context,monotone"]),
+    # a bowtie, which is not a lattice: a and b are both below c and d
+    "bowtie-monotone": (1, ["--poset", "bowtie.json", "--values", "bowtie-values.json",
+                            "--rules", "monotone"]),
 }
 
 

@@ -144,6 +144,11 @@ def test_rules_audit_all_pass(tmp_path, capsys):
     assert [r["rule"] for r in doc["reports"]] == \
         ["sum", "chain", "diamond", "context", "bisum"]
     assert all(r["violations"] == [] for r in doc["reports"])
+    # a valuation document naming the same poset and weights gives the same report
+    (tmp_path / "val.json").write_text(json.dumps(
+        {"poset": "lat.json", "mode": "atoms", "values": {"a": 0.2, "b": 0.3, "c": 0.5}}))
+    assert invoke(capsys, "rules", "audit", "--valuation", str(tmp_path / "val.json"),
+                  "--rules", "sum,chain,diamond,context,bisum") == (0, out, "")
 
 
 def test_rules_audit_total_mode_failure_round_trips(tmp_path, capsys):
@@ -278,6 +283,25 @@ def test_spacetime_interval_desynchronized_frame(scene_path, capsys):
     assert "error" in json.loads(out)["rows"][0]
 
 
+def test_spacetime_interval_window_clipped_to_one_index(tmp_path, capsys):
+    # both events project onto P's last index and onto Q's 4, so the window
+    # is P's [2, 3], over which the chains are not synchronized
+    scene = {"events": [{"id": "e1", "t": "3/2", "x": "-3/4"},
+                        {"id": "e2", "t": "9/4", "x": "11/4"}],
+             "chains": [{"id": "P", "origin": {"t": "1", "x": "1"}, "range": [0, 3]},
+                        {"id": "Q", "k": "2", "origin": {"t": "-1/2", "x": "-1"},
+                         "range": [0, 5]}]}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, out, _ = invoke(capsys, "spacetime", "interval", "--scene", str(path),
+                          "--events", "e1,e2", "--chains", "P,Q", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "events": ["e1", "e2"], "invariant": False,
+        "rows": [{"frame": "P-Q", "error": "P and Q are not synchronized over "
+                                          "indices (2, 3)"}]}
+
+
 def test_spacetime_interval_single_chain_pair(scene_path, capsys):
     code, out, _ = invoke(capsys, "spacetime", "interval", "--scene", scene_path,
                           "--events", "e1,e2", "--chains", "P,Q",
@@ -364,6 +388,18 @@ USAGE_ERRORS = {
     "gen grid without --n": (["poset", "gen", "grid"], "gen grid requires --n"),
     "sync with one chain": (["spacetime", "sync", "--scene", "scene.json", "--chains", "a",
                              "--range", "0,10"], "--chains needs exactly two chain ids"),
+    "sync with a one-index --range": (
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "3,3"],
+        "index window [3, 3] holds one index, so it compares no step"),
+    "sync with one number in --range": (
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "5"],
+        "--range needs two integers lo,hi, got '5'"),
+    "sync with three numbers in --range": (
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "0,1,2"],
+        "--range needs two integers lo,hi, got '0,1,2'"),
+    "sync with words in --range": (
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "a,b"],
+        "--range needs two integers lo,hi, got 'a,b'"),
     "interval with one chain": (["spacetime", "interval", "--scene", "scene.json",
                                  "--events", "e1,e2", "--chains", "a"],
                                 "--chains needs exactly two chain ids"),
@@ -376,6 +412,9 @@ USAGE_ERRORS = {
     "unknown rule": (["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json",
                       "--rules", "sum,nonsense"],
                      f"unknown rules ['nonsense']; choose from {RULE_NAMES}"),
+    "audit of a poset without weights": (
+        ["rules", "audit", "--poset", "lat.json"],
+        "rules audit needs --atoms or --values alongside --poset"),
 }
 
 

@@ -76,8 +76,17 @@ def test_valuation_document_bad_mode(tmp_path):
     lat = boolean_lattice("a")
     write(tmp_path / "lat.json", lat.to_dict())
     path = write(tmp_path / "val.json",
-                 {"poset": "lat.json", "mode": "wat", "values": {}})
-    with pytest.raises(OrdinalError):
+                 {"poset": "lat.json", "mode": "wat", "values": {"a": 1.0}})
+    with pytest.raises(OrdinalError, match="unknown valuation mode 'wat'"):
+        load_valuation(path)
+
+
+@pytest.mark.parametrize("mode, values", [("atoms", {"a": 1.0, "z": 2.0}),
+                                          ("total", {"{}": 0.0})])
+def test_valuation_document_values_that_do_not_fit_the_poset(tmp_path, mode, values):
+    write(tmp_path / "lat.json", boolean_lattice("a").to_dict())
+    path = write(tmp_path / "val.json", {"poset": "lat.json", "mode": mode, "values": values})
+    with pytest.raises(OrdinalError, match="malformed valuation document"):
         load_valuation(path)
 
 

@@ -145,6 +145,12 @@ def test_empty_synchronization_window_is_rejected():
         check_synchronized(rest_chain(0), rest_chain(4), (5, 2))
 
 
+def test_one_index_synchronization_window_is_rejected():
+    # a window of one index compares no step, so it would pass anything
+    with pytest.raises(ValueError, match=r"index window \[3, 3\] holds one index"):
+        check_synchronized(rest_chain(0), rest_chain(4), (3, 3))
+
+
 # --- intervals ---
 
 def test_interval_pair_rest_frame():
@@ -190,6 +196,30 @@ def test_interval_whose_window_clips_to_one_index():
     p, q = rest_chain(0), rest_chain(5)
     ip = interval_pair(Event(195, 0), Event(195, 3), p, q)
     assert (ip.dp, ip.dq) == (3, -3)
+
+
+def test_interval_whose_window_clips_to_one_index_of_a_range():
+    # P projects both events onto its last index, 3, and Q onto 4; the
+    # window [3, 4] clips to P's range as [3, 3], so it takes the index
+    # below, and over [2, 3] the chains are not synchronized
+    p = ObserverChain(origin=Event(1, 1), k=1, index_range=(0, 3))
+    q = ObserverChain(origin=Event(F(-1, 2), -1), k=2, index_range=(0, 5))
+    e1, e2 = Event(F(3, 2), F(-3, 4)), Event(F(9, 4), F(11, 4))
+    assert coordinatize(e1, (p, q)) == coordinatize(e2, (p, q)) == (3, 4)
+    assert not check_synchronized(p, q, (2, 3))
+    with pytest.raises(NotSynchronized, match=r"over indices \(2, 3\)"):
+        interval_pair(e1, e2, p, q)
+
+
+def test_interval_of_one_event_at_the_last_index():
+    # the window [10, 11] clips to [10, 10] and takes the index below it;
+    # a range of one index has none below
+    c = rest_chain(0, rng=(0, 10))
+    ip = interval_pair(Event(10, 0), Event(10, 0), c, c)
+    assert (ip.dp, ip.dq) == (0, 0)
+    c = rest_chain(0, rng=(0, 0))
+    with pytest.raises(NotSynchronized, match="fewer than two indices"):
+        interval_pair(Event(0, 0), Event(0, 0), c, c)
 
 
 def test_interval_needs_two_indices_that_project_inside():
