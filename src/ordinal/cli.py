@@ -364,7 +364,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[(args.group, args.command)](args)
-    except (OrdinalError, OSError, ValueError) as exc:  # json's decode error is a ValueError
+    except (OrdinalError, OSError, ValueError) as exc:  # ValueError: a rejected argument
         print(f"ordinal: error: {exc}", file=sys.stderr)
         return 2
 

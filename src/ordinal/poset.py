@@ -23,6 +23,12 @@ shared 2-vCPU VM). Before a passing certificate exists, and on
 non-lattices, join and meet read the rows. Nothing is memoised per pair, so
 a poset's memory stays at its two row tables plus, once certified, four
 tables of n narrow masks.
+The consistency audit, x <= y iff x v y = y iff x ^ y = x, first proves the
+statement for all n**2 pairs from those same tables, which ``leq``, ``join``
+and ``meet`` read (``Poset._consistency_holds``): 0.03-0.05 s at 12 boolean
+atoms and 0.11-0.12 s at 8 partition atoms, where the pairs took 11-17 s
+one by one. It enumerates the pairs only when the proof fails or one of the
+three methods is replaced, so a violation is still reported pair by pair.
 All query results come back in canonical (lexicographic) element order,
 which pins witness selection and keeps reports deterministic.
 
@@ -80,6 +86,16 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _columns(rows: list[list[int]], width: int) -> list[int]:
+    """The transpose of a bit matrix: mask k has bit p iff rows[p] lists k."""
+    n = len(rows)
+    digits = [bytearray(b"0" * n) for _ in range(width)]  # bit p is digit n - 1 - p
+    for p, ks in enumerate(rows):
+        for k in ks:
+            digits[k][~p] = 49  # ord("1")
+    return [int(d, 2) for d in digits]
 
 
 def _unknown(element: str) -> UnknownElement:
@@ -290,6 +306,89 @@ class Poset:
         return StandardContext(jirr, mirr, dict(zip(at, ext)), dict(zip(at, intent)),
                                by_extent, dict(zip(intent, at)))
 
+    def _consistency_holds(self) -> bool:
+        """Prove x <= y  <=>  (join(x, y) == y and meet(x, y) == x) for every
+        ordered pair from the tables the three methods read: _pos and _up_t
+        for leq, extent and by_extent for meet, intent and by_intent for join.
+        False when the tables do not show it; a False proves nothing.
+
+        Once _pos maps the elements onto range(n), positions stand for them.
+        Write E(x), I(x) for x's extent and intent, J[k] and M[i] for the
+        irreducibles behind bits k and i. The statement holds when every mask
+        fits in |J| or |M| bits and
+          (C1) E and I are injective, with by_extent, by_intent as inverses;
+          (C2) the x with bit k in E(x) are exactly J[k]'s up row;
+          (C3) x's up row is the AND of J[k]'s up rows over k in E(x);
+          (C4) I(x) = {i : E(x) <= E(M[i])};
+          (C6) E(x) & E(M[i]) is an extent and I(x) & I(J[k]) an intent, for
+               every x, i and k.
+        leq: y is in x's up row iff, by C3, in J[k]'s for each k in E(x) iff,
+        by C2, E(x) <= E(y). meet: by C1, meet(x, y) == x iff E(x) & E(y) ==
+        E(x), the same test. join: if E(x) <= E(y), then I(y) <= I(x) by C4,
+        so join(x, y) == y by C1; the converse is not needed, since the
+        statement asks for both tests.
+        No lookup fails. (C5) E(x) is the AND of E(M[i]) over i in I(x) when
+        I(x) is not empty: that AND is an extent by C6, E(w) say, and holds
+        E(x) by C4; each i outside I(x) has E(x), so E(w), not <= E(M[i]), so
+        I(w) = I(x) by C4 and w = x by C1. By C1 at most one x has an empty
+        intent, so when x != y one of them, say y, has a non-empty one, and
+        E(x) & E(y) is E(x) cut by one E(M[i]) at a time, each step an extent
+        by C6. Dually I(y) is the AND of I(J[k]) over k in E(y), all of M for
+        none: by C4 both hold i iff E(y) <= E(M[i]), since k is in E(J[k])
+        (C2 and C3 put each x in its own up row) and E(J[k]) <= E(y) for k in
+        E(y) (C2 and leq). So I(x) & I(y) stays an intent by C6 as well.
+        That costs n * (|J| + |M|) narrow mask operations, one row AND per
+        extent bit and at most |J| row ORs per element of M.
+        """
+        context, pos, up = self._context, self._pos, self._up_t
+        n = len(self.elements)
+        if context is None or len(up) < n:
+            return False
+        at: list = [None] * n
+        for x in self.elements:
+            p = pos.get(x, -1)
+            if not 0 <= p < n or at[p] is not None:
+                return False
+            at[p] = x
+        by_extent, by_intent = context.by_extent, context.by_intent
+        ext = [context.extent.get(x, -1) for x in at]
+        ints = [context.intent.get(x, -1) for x in at]
+        jpos = [pos.get(j, -1) for j in context.join_irreducibles]
+        mpos = [pos.get(m, -1) for m in context.meet_irreducibles]
+        every_j, every_m = (1 << len(jpos)) - 1, (1 << len(mpos)) - 1
+        if (len(by_extent) != n or len(by_intent) != n  # C1
+                or not all(0 <= e <= every_j and by_extent.get(e) == x
+                           for e, x in zip(ext, at))
+                or not all(0 <= i <= every_m and by_intent.get(i) == x
+                           for i, x in zip(ints, at))
+                or not all(0 <= q < n for q in jpos + mpos)):
+            return False
+        ext_bits = [[*_bits(e)] for e in ext]
+        j_columns = _columns(ext_bits, len(jpos))
+        j_rows = [up[q] for q in jpos]
+        if j_columns != j_rows:  # C2
+            return False
+        full = (1 << n) - 1
+        for p, ks in enumerate(ext_bits):  # C3
+            row = full
+            for k in ks:
+                row &= j_rows[k]
+            if row != up[p]:
+                return False
+        # C4, a column at a time: the x with E(x) <= E(M[i]) are those in no
+        # column k of the extents for a k outside E(M[i])
+        m_exts = [ext[q] for q in mpos]
+        m_columns = _columns([[*_bits(i)] for i in ints], len(mpos))
+        for column, f in zip(m_columns, m_exts):
+            outside = 0
+            for k in _bits(every_j & ~f):
+                outside |= j_columns[k]
+            if column != full & ~outside:
+                return False
+        j_ints = [ints[q] for q in jpos]
+        return (all(by_extent.keys() >= {e & f for f in m_exts} for e in ext)  # C6
+                and all(by_intent.keys() >= {i & g for g in j_ints} for i in ints))
+
     def _first_witness(self) -> tuple[str, str] | None:
         """The first pair in lexicographic order without a unique join or
         meet. Every non-lattice has one, and LatticeCertificate refuses a
@@ -403,9 +502,24 @@ def verify_consistency_relations(p: Poset):
     """Audit x <= y  <=>  (x v y = y and x ^ y = x) over all ordered pairs.
 
     A valid lattice always passes; the report exists as a self-audit oracle
-    of the public ``leq``, ``join`` and ``meet``.
+    of the public ``leq``, ``join`` and ``meet``. When those are Poset's own
+    methods, ``Poset._consistency_holds`` first tries to prove the statement
+    for every pair from the tables they read, in about n * (|J| + |M|) mask
+    operations; a passing proof gives the report the enumeration would. The n**2 public
+    calls run when the proof fails, or when leq, join or meet is replaced on
+    the instance or overridden in a subclass, so every violation is reported
+    as the enumeration finds it.
     """
     p._require_lattice()
+    if (all(getattr(type(p), name) is getattr(Poset, name) and name not in vars(p)
+            for name in ("leq", "join", "meet"))
+            and p._consistency_holds()):
+        return build_report("consistency", len(p.elements) ** 2, 0, [])
+    return _enumerate_consistency(p)
+
+
+def _enumerate_consistency(p: Poset):
+    """The consistency report from three public calls per ordered pair."""
     leq, join, meet = p.leq, p.join, p.meet
     violations = []
     for x in p.elements:

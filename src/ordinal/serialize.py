@@ -26,8 +26,13 @@ def dumps_canonical(payload) -> str:
 
 
 def _load_json(path) -> dict:
+    """The parsed document; a file that is not UTF-8 JSON is an OrdinalError
+    naming it, since a command may read several."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise OrdinalError(f"{path} is not a JSON document: {exc}") from None
 
 
 def _numbers(mapping, path, what: str) -> dict:

@@ -362,6 +362,21 @@ def test_malformed_document_is_an_input_error(tmp_path, monkeypatch, capsys, cas
     assert err.count("\n") == 1 and err.startswith("ordinal: error")
 
 
+@pytest.mark.parametrize("argv, broken", [
+    (["poset", "check", "--input", "lat.json"], "lat.json"),
+    (["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json"], "atoms.json"),
+])
+def test_truncated_document_names_its_file(tmp_path, monkeypatch, capsys, argv, broken):
+    monkeypatch.chdir(tmp_path)
+    write_audit_inputs(tmp_path, {"a": 1.0, "b": 2.0})
+    text = (tmp_path / broken).read_text()
+    (tmp_path / broken).write_text(text[:len(text) // 2])
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"ordinal: error: {broken} is not a JSON document: ")
+    assert err.count("\n") == 1
+
+
 # --- usage errors ---
 
 RULE_NAMES = "('sum', 'bisum', 'chain', 'diamond', 'context', 'monotone')"

@@ -11,6 +11,7 @@ from ordinal import (BoundExceeded, CycleDetected, LatticeCertificate,
                      UnknownElement, boolean_lattice, build_poset, chain_poset,
                      divisor_lattice, lattice_product, pair_id, parse_subset_id,
                      partition_lattice, subset_id, verify_consistency_relations)
+from ordinal.poset import Poset, StandardContext, _enumerate_consistency
 
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
 
@@ -425,6 +426,185 @@ def test_consistency_holds_on_every_generated_lattice():
                 divisor_lattice(30),
                 lattice_product(chain_poset("012"), chain_poset("01"))):
         assert verify_consistency_relations(lat).passed
+
+
+class JoinsTwoAndFourToTwelve(Poset):
+    def join(self, x, y):
+        return "12" if (x, y) == ("2", "4") else super().join(x, y)
+
+
+def test_consistency_audits_a_subclass_join():
+    p = divisor_lattice(12)
+    p.__class__ = JoinsTwoAndFourToTwelve
+    # the tables still prove the statement, so only enumeration sees the override
+    assert p.is_lattice().is_lattice and p._consistency_holds()
+    report = verify_consistency_relations(p)
+    assert [(v.instance, v.lhs, v.rhs) for v in report.violations] == [(("2", "4"), 1.0, 0.0)]
+
+
+def test_consistency_of_p8_is_proved_not_enumerated():
+    # enumerating its 17,139,600 ordered pairs takes about 15 s
+    p = partition_lattice("abcdefgh")
+    assert p.is_lattice().is_lattice
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = verify_consistency_relations(p)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == len(p) ** 2
+    assert peak < 4 * 2**20
+    assert elapsed < 5
+
+
+PROOF_LATTICES = [
+    *(lambda k=k: boolean_lattice("abcde"[:k]) for k in range(1, 6)),
+    lambda: partition_lattice("abc"),
+    lambda: partition_lattice("abcd"),
+    lambda: divisor_lattice(60),
+    lambda: lattice_product(chain_poset("012"), partition_lattice("abc")),
+]
+
+
+def order_context(p, jirr=None, mirr=None):
+    """The tables a certified lattice holds, by their definitions, for any
+    poset and, if given, any lists of irreducibles in place of the elements
+    with one lower and one upper cover."""
+    if jirr is None:
+        jirr = tuple(x for x in p.elements if sum(b == x for _, b in p.covers) == 1)
+    if mirr is None:
+        mirr = tuple(x for x in p.elements if sum(a == x for a, _ in p.covers) == 1)
+    extent = {x: sum(1 << k for k, j in enumerate(jirr) if p.leq(j, x)) for x in p.elements}
+    intent = {x: sum(1 << k for k, m in enumerate(mirr) if p.leq(x, m)) for x in p.elements}
+    return StandardContext(jirr, mirr, extent, intent, {e: x for x, e in extent.items()},
+                           {i: x for x, i in intent.items()})
+
+
+def corrupt(p, data):
+    """Change one entry of one table that leq, join or meet reads, or none;
+    returns the table's name."""
+    table = data.draw(st.sampled_from(
+        ["none", "_up_t", "_pos", "extent", "intent", "by_extent", "by_intent"]))
+    context, n = p._context, len(p)
+    element = st.sampled_from(p.elements)
+    if table == "_up_t":
+        p._up_t[data.draw(st.integers(0, n - 1))] ^= 1 << data.draw(st.integers(0, n))
+    elif table == "_pos":
+        x, y = data.draw(element), data.draw(element)
+        if data.draw(st.booleans()):
+            p._pos[x], p._pos[y] = p._pos[y], p._pos[x]
+        else:
+            p._pos[x] = p._pos[y]
+    elif table in ("extent", "intent"):
+        masks = getattr(context, table)
+        width = len(context.join_irreducibles if table == "extent"
+                    else context.meet_irreducibles)
+        x = data.draw(element)
+        if data.draw(st.booleans()):
+            masks[x] = masks[data.draw(element)]
+        else:
+            masks[x] ^= 1 << data.draw(st.integers(0, width))
+    elif table in ("by_extent", "by_intent"):
+        inverse = getattr(context, table)
+        key = data.draw(st.sampled_from(sorted(inverse)))
+        how = data.draw(st.sampled_from(["move", "drop", "add"]))
+        if how == "move":
+            inverse[key] = data.draw(element)
+        elif how == "drop":
+            del inverse[key]
+        else:
+            inverse[key ^ 1 << data.draw(st.integers(0, 8))] = data.draw(element)
+    return table
+
+
+def certified(p, change):
+    """p certified as a lattice, then one of its tables changed."""
+    assert p.is_lattice().is_lattice
+    change(p)
+    return p
+
+
+def with_tables(p, jirr=None, mirr=None, by_extent=(), by_intent=()):
+    """p with the tables that order_context defines, plus any extra entries
+    for the inverses."""
+    p._context = order_context(p, jirr, mirr)
+    p._context.by_extent.update(by_extent)
+    p._context.by_intent.update(by_intent)
+    return p
+
+
+def grow_row(element, by):
+    """A change that puts by's position into element's up row."""
+    def change(p):
+        p._up_t[p._pos[element]] |= 1 << p._pos[by]
+    return change
+
+
+def drop_an_intent_bit(p):
+    # in the chain 0 < 1 < 2, M is (0, 1); without 1, 0's intent is still
+    # unique, and join(0, 1) finds the intent of 2
+    context = p._context
+    del context.by_intent[context.intent["0"]]
+    context.intent["0"] = 0b01
+    context.by_intent[0b01] = "0"
+
+
+@pytest.mark.parametrize("make", [
+    # a and b are incomparable, yet the inverses send the empty intersections
+    # to b and a, so join(a, b) == b and meet(a, b) == a
+    lambda: with_tables(build_poset("ab", []), ("a", "b"), ("a", "b"),
+                        by_extent={0: "a"}, by_intent={0: "b"}),
+    lambda: certified(boolean_lattice("ab"), grow_row("{a}", "{}")),
+    lambda: certified(boolean_lattice("ab"), grow_row("{a,b}", "{a}")),
+    lambda: certified(chain_poset("012"), drop_an_intent_bit),
+    # with M = (a,), b's intent is empty, so join(a, b) == b; but a and b
+    # have disjoint extents and no meet
+    lambda: with_tables(build_poset("ab", []), ("a", "b"), ("a",)),
+    # with M = every element, a and b have disjoint intents and no join
+    lambda: with_tables(build_poset("0ab", [("0", "a"), ("0", "b")]),
+                        ("a", "b"), ("0", "a", "b")),
+], ids=["C1", "C2", "C3", "C4", "C6-extents", "C6-intents"])
+def test_each_proof_condition_is_needed(make):
+    """Each case fails one condition of Poset._consistency_holds and meets
+    the others, and the enumeration fails on it: without that condition the
+    proof would pass tables that fail the statement."""
+    p = make()
+    assert not p._consistency_holds()
+    try:
+        passed = _enumerate_consistency(p).passed
+    except KeyError:  # a meet or join the tables do not hold
+        passed = False
+    assert not passed
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(PROOF_LATTICES) + 6), st.data())
+def test_consistency_proof_is_sound(case, data):
+    """Whenever the proof passes, the enumeration does too, and it passes on
+    every lattice left as certified. The posets are fixed lattices and random
+    ones with a top and a bottom; a non-lattice gets the tables that
+    order_context defines for it."""
+    if case < len(PROOF_LATTICES):
+        p = PROOF_LATTICES[case]()
+    else:
+        n = case - len(PROOF_LATTICES) + 2
+        _, reduction = random_dag_order(n, data, top=True, bottom=True)
+        ids = data.draw(st.permutations("abcdefgh"))[:n]
+        p = build_poset(ids, [(ids[a], ids[b]) for a, b in reduction])
+    lattice = p.is_lattice().is_lattice
+    if not lattice:
+        p._context = order_context(p)
+    table = corrupt(p, data)
+    proved = p._consistency_holds()
+    if lattice and table == "none":
+        assert proved
+    if proved:
+        enumerated = _enumerate_consistency(p)
+        assert enumerated.passed
+        if lattice:
+            assert verify_consistency_relations(p).to_dict() == enumerated.to_dict()
 
 
 # --- irreducibles ---
