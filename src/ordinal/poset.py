@@ -524,8 +524,10 @@ def _enumerate_consistency(p: Poset):
     violations = []
     for x in p.elements:
         for y in p.elements:
-            structural = leq(x, y)
-            operational = join(x, y) == y and meet(x, y) == x
+            # both lookups run on every pair, so a table that fails one of
+            # them raises here instead of hiding behind the other's verdict
+            structural, joined, met = leq(x, y), join(x, y), meet(x, y)
+            operational = joined == y and met == x
             if structural != operational:
                 violations.append(RuleViolation(
                     (x, y), float(structural), float(operational), 1.0))

@@ -7,6 +7,7 @@ Fractions and mixtures, with zero-weight atoms, holes and perturbations.
 The golden files hold ``ordinal rules audit`` output made by those loops;
 ``b4-mixed`` was made by the kernel that chose its arithmetic per table.
 """
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import ordinal
 import reference_audits as ref
+from ordinal import valuation
 from ordinal import (Valuation, bivaluation_from_valuation, boolean_lattice,
                      build_poset, chain_poset, check_bivaluation_sum_rule,
                      check_chain_rule, check_context_product_rule,
@@ -166,6 +168,116 @@ def test_monotone_on_a_poset_that_is_not_a_lattice(bowtie, data):
     assert_same_report(check_monotone(v, tol), ref.check_monotone(v, tol))
 
 
+# --- the reduced bisum and context audits ---
+
+REDUCED_RULES = [(check_bivaluation_sum_rule, ref.check_bivaluation_sum_rule),
+                 (check_context_product_rule, ref.check_context_product_rule)]
+
+# every lattice that is not distributive holds N5 (the pentagon) or M3
+# (the diamond) as a sublattice; P3 is M3 again
+REDUCED_LATTICES = {
+    **{f"B{k}": boolean_lattice("abcde"[:k]) for k in range(1, 6)},
+    "P3": partition_lattice("abc"), "P4": partition_lattice("abcd"),
+    "D60": divisor_lattice(60),
+    "N5": build_poset("0abc1", [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]),
+    "M3": build_poset("0abc1", [("0", x) for x in "abc"] + [(x, "1") for x in "abc"]),
+}
+DISTRIBUTIVE = {"B1", "B2", "B3", "B4", "B5", "D60"}
+
+
+def irreducible_sums(lat, weights):
+    """v(x) = the sum of the weights of the join-irreducibles below x, with
+    an int 0 at the bottom; on a distributive lattice v keeps the sum rule."""
+    context = lat.is_lattice().context
+    return Valuation(lat, {x: sum(w for k, w in enumerate(weights) if context.extent[x] >> k & 1)
+                           for x in lat.elements})
+
+
+def fresh(value):
+    """An equal value in a new object, where the type allows one."""
+    if isinstance(value, float):
+        return float(repr(value))
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
+    return value
+
+
+@st.composite
+def reduced_inputs(draw):
+    """A bi-valuation on one of REDUCED_LATTICES and a tolerance: as built,
+    changed with with_value, or copied through a plain dict whose rows share
+    no float or Fraction between their entries."""
+    name = draw(st.sampled_from(sorted(REDUCED_LATTICES)))
+    lat = REDUCED_LATTICES[name]
+    kind = draw(st.sampled_from(KINDS))
+    size = len(lat.is_lattice().context.join_irreducibles)
+    weights = draw(st.lists(number(kind), min_size=size, max_size=size))
+    if weights and draw(st.booleans()):  # a zero-weight atom makes zero-measure contexts
+        weights[draw(st.integers(0, size - 1))] *= 0
+    v = irreducible_sums(lat, weights)
+    if kind == "mixed":  # one float among Fractions, and an int bottom
+        e = draw(st.sampled_from(lat.elements))
+        v = v.replace(e, float(v(e)))
+    if draw(st.booleans()):  # a shifted valuation, so some pair classes fail
+        e = draw(st.sampled_from(lat.elements))
+        v = v.replace(e, v(e) + draw(number(kind, 2)))
+    tol = draw(tolerances)
+    w = bivaluation_from_valuation(v, tol, validate=False)
+    for _ in range(draw(st.integers(0, 3))):  # with_value: changed, new or undefined
+        x, t = draw(st.sampled_from(lat.elements)), draw(st.sampled_from(lat.elements))
+        w = w.with_value(x, t, draw(st.none() | number(kind, 2)))
+    if draw(st.booleans()):
+        w = BiValuation(lat, {key: fresh(value) for key, value in w.table.items()})
+    return w, tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduced_inputs())
+def test_reduced_audits_match_reference_loops(case):
+    w, tol = case
+    for check, reference in REDUCED_RULES:
+        assert_same_report(check(w, tol), reference(w, tol))
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_LATTICES))
+def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
+    lat = REDUCED_LATTICES[name]
+    assert valuation._distributive(lat) == (name in DISTRIBUTIVE)
+    tested, pair_classes = [], valuation._pair_classes
+
+    def spy(*tables):
+        block = pair_classes(*tables)
+        return lambda rows, scale, key: tested.append(key) or block(rows, scale, key)
+    monkeypatch.setattr(valuation, "_pair_classes", spy)
+    v = irreducible_sums(lat, range(1, len(lat.join_irreducibles()) + 1))
+    w = bivaluation_from_valuation(v, validate=False)
+    assert_same_report(check_bivaluation_sum_rule(w, 0),
+                       ref.check_bivaluation_sum_rule(w, 0))
+    # every row with a context is diamond-exact, so on a distributive
+    # lattice each one is tested on its pair classes, and on no other
+    contexts = [(t,) for t, row in enumerate(w._rows) if row is not None]
+    assert sorted(tested) == (contexts if name in DISTRIBUTIVE else [])
+
+
+def test_built_rows_share_their_quotients_and_copied_rows_do_not():
+    lat = boolean_lattice("abc")
+    v = derive_valuation_from_atoms(lat, {"a": 0.1, "b": 0.2, "c": 0.7})
+    w = bivaluation_from_valuation(v, validate=False)
+    meet, top = valuation._table(lat), len(lat) - 1
+    # the bottom has measure 0 and no row
+    assert valuation._diamond_exact(w._rows, meet) == [False] + [True] * top
+    copied = BiValuation(lat, {key: fresh(value) for key, value in w.table.items()})
+    # only at the top is x ^ t always x itself
+    assert valuation._diamond_exact(copied._rows, meet) == [False] * top + [True]
+    # with_value copies the row it changes, which then holds a new object
+    # at {a} and the old one at {a,c}, whose meet with {a,b} is {a}
+    changed = w.with_value("{a}", "{a,b}", w.get("{a}", "{a,b}") + 0.5)
+    exact = valuation._diamond_exact(changed._rows, meet)
+    assert [lat._at[t] for t, ok in enumerate(exact) if not ok] == ["{}", "{a,b}"]
+    holed = w.with_value("{c}", "{a,b}", None)
+    assert not valuation._diamond_exact(holed._rows, meet)[lat._pos["{a,b}"]]
+
+
 def test_audits_of_an_empty_poset_check_nothing():
     empty = build_poset([], [])
     assert_audits_agree(Valuation(empty, {}), BiValuation(empty, {}), 0)
@@ -260,6 +372,21 @@ def test_rules_audit_output_is_unchanged(capsys, monkeypatch, name, fmt):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{name}.{fmt}.out").read_text()
+
+
+def test_default_audit_of_b9_counts_every_instance(tmp_path, capsys):
+    # 512 elements, and the bottom has measure 0: bisum checks C(512, 2)
+    # pairs in each of 511 contexts, and context skips the 512 triples
+    # (x, y, z) of each of the 3**9 pairs whose meet is the bottom
+    atoms = "abcdefghi"
+    (tmp_path / "b9.json").write_text(json.dumps(boolean_lattice(atoms).to_dict()))
+    (tmp_path / "w9.json").write_text(json.dumps({a: k for k, a in enumerate(atoms, 1)}))
+    assert run(["rules", "audit", "--poset", str(tmp_path / "b9.json"),
+                "--atoms", str(tmp_path / "w9.json")]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert {r["rule"]: (r["checked"], r["skipped"]) for r in reports} == {
+        "sum": (130_816, 0), "bisum": (66_846_976, 0), "chain": (261_632, 512),
+        "diamond": (261_632, 512), "context": (124_140_032, 10_077_696)}
 
 
 def test_rules_audit_does_not_depend_on_the_hash_seed(tmp_path):

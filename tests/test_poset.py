@@ -579,6 +579,19 @@ def test_each_proof_condition_is_needed(make):
     assert not passed
 
 
+def test_enumeration_runs_meet_where_join_already_differs():
+    # a, b < 1 with J = (1, a, b) and M = (a, b): join(a, b) finds 1, but
+    # ext(a) & ext(b) is no extent, so meet(a, b) has nothing to return;
+    # a test that stopped at the join would report the pair, and all nine,
+    # as consistent
+    p = with_tables(build_poset("1ab", [("a", "1"), ("b", "1")]), ("1", "a", "b"),
+                    ("a", "b"))
+    assert p.join("a", "b") == "1"
+    assert not p._consistency_holds()
+    with pytest.raises(KeyError):
+        _enumerate_consistency(p)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, len(PROOF_LATTICES) + 6), st.data())
 def test_consistency_proof_is_sound(case, data):
