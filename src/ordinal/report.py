@@ -12,6 +12,8 @@ from fractions import Fraction
 
 def number_to_jsonable(x):
     """Fractions become exact strings; floats and ints pass through."""
+    if type(x) is float or type(x) is int:  # skips Fraction's ABC check
+        return x
     if isinstance(x, Fraction):
         return str(x)
     return x
@@ -33,7 +35,7 @@ class RuleViolation:
         }
 
     def text_line(self) -> str:
-        inst = ", ".join(str(part) for part in self.instance)
+        inst = ", ".join(map(str, self.instance))
         return (f"violation ({inst}): lhs={self.lhs} rhs={self.rhs} "
                 f"residual={self.residual}")
 
@@ -70,6 +72,6 @@ class RuleReport:
 
 def build_report(rule, checked, tolerance, violations, skipped=0) -> RuleReport:
     """Assemble a report with violations sorted into canonical order."""
-    ordered = sorted(violations, key=lambda v: tuple(str(p) for p in v.instance))
+    ordered = sorted(violations, key=lambda v: tuple(map(str, v.instance)))
     return RuleReport(rule=rule, checked=checked, tolerance=tolerance,
                       violations=ordered, skipped=skipped)

@@ -50,11 +50,18 @@ as a smaller one, which then stands in for it:
     Distributivity comes from the certificate: ext(x) | ext(j) must be an
     extent for every x and each join-irreducible j.
 A stand-in runs in the same arithmetic as the block, since it reads the
-same rows, so its differences are the block's, bit for bit, and a passing
-stand-in passes the block with the same count. Any block whose stand-in
-fails, or that has none (rows that are copied, changed, holed or empty, and
-bisum on a lattice that is not distributive), runs on the kernel as
-before, so every violation, its sides and the counts come from that path.
+same rows, so its differences are the block's, bit for bit. So the stand-in
+decides the block: a passing one passes it with the same count, and each
+violating instance of a failing one violates in every instance of the
+block that reads its objects (in row t, the pairs x != y with x ^ t = a
+and y ^ t = b for class (a, b); in block (x, y), the z with z ^ y' = z'
+for chain instance z' <= y' <= x), with its sides. Those sides are
+computed on the raw values for each violating stand-in instance, not for
+each instance it stands for. A block that has no stand-in (rows that are
+copied, changed, holed or empty, and bisum on a lattice that is not
+distributive) runs on the kernel, and only the instances that violate
+have their sides computed, on the raw values, with the block's own
+operations.
 """
 from __future__ import annotations
 
@@ -159,19 +166,22 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
     block reading a row with no defined value is skipped whole.
     ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
     their scale, on the exact rows in integers (row t times scale[t], the
-    lcm of its denominators) or on raw at scale 1; ``instance(key, k)`` the
-    positions of its k-th instance. The module docstring says which
-    blocks get which arithmetic. A block with violations is evaluated once
-    more on the raw values, which gives the violations' sides in the
-    values' own arithmetic.
-    ``proof``, if given, is a stand-in block function and the rows it may
-    stand on, a bool per row. A block that reads only such rows has a
-    stand-in: the stand-in's block whose key is the tuple of those rows.
-    The caller vouches that each instance of the block has the operands
-    and operations of an instance of its stand-in, so the block passes
-    whenever its stand-in does. Each stand-in is tested once, in the
-    arithmetic its rows choose, and a block without a passing stand-in is
-    tested itself.
+    lcm of its denominators) or on raw at scale 1. The module docstring
+    says which blocks get which arithmetic. ``instance(key, k)`` gives the
+    positions of the block's k-th instance and its two sides on raw, with
+    the block's operands in the block's order; it runs only for the
+    instances that violate, so no block is evaluated a second time.
+    ``proof``, if given, is a stand-in block function, the rows it may
+    stand on (a bool per row) and an ``expand`` function. A block that
+    reads only such rows has a stand-in: the stand-in's block whose key is
+    the tuple of those rows. The caller vouches that each instance of the
+    block has the operands and operations of an instance of its stand-in.
+    Each stand-in is tested once, in the arithmetic its rows choose, and
+    decides every block that stands on it: the block has no hole, so all
+    of its instances count as checked, and ``expand(key, reads, failing)``
+    yields the positions and raw sides of each instance of the block
+    that stands on one of the stand-in's violating instances ``failing``.
+    A block without a stand-in is tested itself.
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
@@ -210,22 +220,29 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
         return [k for k, d in enumerate(diffs)
                 if d is not _UNDEFINED and (d if signed else abs(d)) > above]
 
-    stand_in, sound = proof or (None, ())
+    stand_in, sound, expand = proof or (None, (), None)
     unproved = {t for t, ok in enumerate(sound) if not ok}
-    proved = {}  # the rows a stand-in reads -> whether it passes
+    failing = {}  # the rows a stand-in reads -> its violating instances
     checked = skipped = 0
     violations = []
+
+    def report(found):
+        for positions, a, b in found:
+            ids = tuple(map(p._at.__getitem__, positions))
+            violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
+
     for key, reads, size in blocks:
         if not size or not empty.isdisjoint(reads):
             skipped += size
             continue
         if stand_in and unproved.isdisjoint(reads):
-            if reads not in proved:
+            if reads not in failing:
                 diffs, above = differences(stand_in, reads, reads)
-                proved[reads] = fits(diffs, above) or not violating(diffs, above)
-            if proved[reads]:
-                checked += size
-                continue
+                failing[reads] = [] if fits(diffs, above) else violating(diffs, above)
+            checked += size
+            if failing[reads]:
+                report(expand(key, reads, failing[reads]))
+            continue
         diffs, above = differences(block, key, reads)
         if fits(diffs, above):
             checked += len(diffs)
@@ -233,13 +250,7 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
         undefined = countOf(diffs, _UNDEFINED)
         skipped += undefined
         checked += len(diffs) - undefined
-        found = violating(diffs, above)
-        if found:
-            sides = list(zip(*block(raw, ones, key)[:2]))
-            for k in found:
-                a, b = sides[k]
-                ids = tuple(p._at[i] for i in instance(key, k))
-                violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
+        report(instance(key, k) for k in violating(diffs, above))
     return build_report(rule, checked, tol, violations, skipped)
 
 
@@ -289,16 +300,30 @@ def _distributive(p: Poset) -> bool:
     return all(c.by_extent.keys() >= {e | f for f in j_exts} for e in c.by_extent)
 
 
-def _chain_block(down):
+def _fibers(meets) -> dict[int, list[int]]:
+    """The positions x grouped by meets[x], each group in increasing order."""
+    fibers = {}
+    for x, m in enumerate(meets):
+        fibers.setdefault(m, []).append(x)
+    return fibers
+
+
+def _chain_rule(down, raw):
     """The chain rule's block (z, y) for z's row and y's row: w(x|z) against
-    w(x|y) * w(y|z), as x runs over the elements below y."""
+    w(x|y) * w(y|z), as x runs over the elements below y; and its k-th
+    instance, x = down[y][k], with its sides on raw."""
     below = [_gather(d) for d in down]
 
     def block(rows, scale, key):
         z, y = key
         return (_times(below[y](rows[z]), scale[y]),
                 map(mul, below[y](rows[y]), repeat(rows[z][y])), scale[z] * scale[y])
-    return block
+
+    def instance(key, k):
+        z, y = key
+        x = down[y][k]
+        return (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
+    return block, instance
 
 
 def _pair_classes(join, meet, down):
@@ -324,7 +349,9 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleRepo
     class (x ^ t, y ^ t), because row t holds at x v y what it holds at
     (x v y) ^ t = (x ^ t) v (y ^ t), and at x ^ y what it holds at
     (x ^ t) ^ (y ^ t). The right side adds the pair in either order, and
-    addition is commutative, in IEEE floats too.
+    addition is commutative, in IEEE floats too. So a failing class (a, b)
+    fails each instance with x in the fiber of a (the x with x ^ t = a),
+    y in the fiber of b and x != y, with the class's sides.
     """
     n, order = len(p), [p._pos[e] for e in p.elements]
     xs = [order[x] for x in range(n) for _ in range(x + 1, n)]
@@ -337,12 +364,29 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleRepo
         row = rows[t]
         return (map(add, at_join(row), at_meet(row)),
                 map(add, at_x(row), at_y(row)), scale[t])
+
+    def instance(t, k):
+        row, x, y = raw[t], xs[k], ys[k]
+        return ((x, y) if rule == "sum" else (t, x, y),
+                row[joins[k]] + row[meets[k]], row[x] + row[y])
     proof = None
     if reduce and _distributive(p):
-        proof = _pair_classes(join, meet, _down_sets(p)), _diamond_exact(raw, meet)
+        down, rank = _down_sets(p), [0] * n
+        for r, x in enumerate(order):
+            rank[x] = r
+
+        def expand(t, reads, failing):
+            row, d, fiber = raw[t], down[t], _fibers(meet[t])
+            classes = [(a, b) for i, a in enumerate(d) for b in d[i:]]
+            # a class (a, a) compares a sum with itself and never fails, so
+            # a != b, and each pair from the two fibers is one instance
+            for a, b in map(classes.__getitem__, failing):
+                lhs, rhs = row[join[a][b]] + row[meet[a][b]], row[a] + row[b]
+                for x, y in product(fiber[a], fiber[b]):
+                    yield (t, x, y) if rank[x] < rank[y] else (t, y, x), lhs, rhs
+        proof = _pair_classes(join, meet, down), _diamond_exact(raw, meet), expand
     return _kernel(rule, tol, p, raw, ((t, (t,), len(xs)) for t in contexts), block,
-                   lambda t, k: (xs[k], ys[k]) if rule == "sum" else (t, xs[k], ys[k]),
-                   proof=proof)
+                   instance, proof=proof)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -361,9 +405,10 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     """Audit x <= y  =>  v(x) <= v(y)."""
     pairs = [(i, j) for j, down in enumerate(v.poset._down_t) for i in _bits(down) if i != j]
     at_lower, at_upper = (_gather([pair[end] for pair in pairs]) for end in (0, 1))
-    return _kernel("monotone", tol, v.poset, [_valuation_row(v)], [(0, (0,), len(pairs))],
+    row = _valuation_row(v)
+    return _kernel("monotone", tol, v.poset, [row], [(0, (0,), len(pairs))],
                    lambda rows, scale, t: (at_lower(rows[t]), at_upper(rows[t]), scale[t]),
-                   lambda _, k: pairs[k], signed=True)
+                   lambda _, k: (pairs[k], row[pairs[k][0]], row[pairs[k][1]]), signed=True)
 
 
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
@@ -471,18 +516,18 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
     p, down = w.poset, _down_sets(w.poset)
     blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
-    return _kernel("chain", tol, p, w._rows, blocks, _chain_block(down),
-                   lambda key, k: (down[key[1]][k], *key[::-1]))
+    return _kernel("chain", tol, p, w._rows, blocks, *_chain_rule(down, w._rows))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
     p, raw = w.poset, w._rows
-    at_meet = [_gather(row) for row in _table(p)]
+    meet = _table(p)
+    at_meet = [_gather(row) for row in meet]
     n = len(p)
     return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
                    lambda rows, scale, x: (rows[x], at_meet[x](rows[x]), scale[x]),
-                   lambda x, y: (x, y))
+                   lambda x, y: ((x, y), raw[x][y], raw[x][meet[x][y]]))
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -493,6 +538,8 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
     holds at y ^ z the object at z' and at y the object at y', and row y'
     holds at z the object at z', so instance (x, y, z) computes row_x[z']
     against row_y'[z'] * row_x[y'], which is chain instance z' <= y' <= x.
+    So a failing chain instance z' fails each instance (x, y, z) with
+    z ^ y' = z', with the chain instance's sides.
     """
     p, raw = w.poset, w._rows
     meet = _table(p)
@@ -503,10 +550,25 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
         xy = meet[x][y]
         return (_times(at_meet[y](rows[x]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
+
+    def instance(key, z):
+        x, y = key
+        return (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
+    chain_block, chain_instance = _chain_rule(_down_sets(p), raw)
+    fibers = {}  # y' -> the positions z grouped by z ^ y'
+
+    def expand(key, reads, failing):
+        xy = reads[1]
+        if xy not in fibers:
+            fibers[xy] = _fibers(meet[xy])
+        for k in failing:
+            (zy, _, _), lhs, rhs = chain_instance(reads, k)  # zy = z ^ y' <= y' <= x
+            for z in fibers[xy][zy]:
+                yield (*key, z), lhs, rhs
     n = len(p)
     blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
-    return _kernel("context", tol, p, raw, blocks, block, lambda key, z: (*key, z),
-                   proof=(_chain_block(_down_sets(p)), _diamond_exact(raw, meet)))
+    return _kernel("context", tol, p, raw, blocks, block, instance,
+                   proof=(chain_block, _diamond_exact(raw, meet), expand))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:

@@ -202,11 +202,25 @@ def fresh(value):
     return value
 
 
+def changed_quotient(w, t, x, delta):
+    """w with the object that row t holds at x replaced, wherever row t
+    holds it, by that value plus delta in a new object: row t stays
+    diamond-exact, and the chain stand-ins of context blocks reading it
+    fail."""
+    changed = BiValuation(w.poset, {})
+    changed._rows[:] = w._rows
+    old = w._rows[t][x]
+    new = old + delta
+    changed._rows[t] = [new if e is old else e for e in w._rows[t]]
+    return changed
+
+
 @st.composite
 def reduced_inputs(draw):
     """A bi-valuation on one of REDUCED_LATTICES and a tolerance: as built,
-    changed with with_value, or copied through a plain dict whose rows share
-    no float or Fraction between their entries."""
+    with one quotient of a row changed in place, changed with with_value,
+    or copied through a plain dict whose rows share no float or Fraction
+    between their entries."""
     name = draw(st.sampled_from(sorted(REDUCED_LATTICES)))
     lat = REDUCED_LATTICES[name]
     kind = draw(st.sampled_from(KINDS))
@@ -223,6 +237,10 @@ def reduced_inputs(draw):
         v = v.replace(e, v(e) + draw(number(kind, 2)))
     tol = draw(tolerances)
     w = bivaluation_from_valuation(v, tol, validate=False)
+    contexts = [t for t, row in enumerate(w._rows) if row is not None]
+    if contexts and draw(st.booleans()):  # one quotient changed wherever its row holds it
+        w = changed_quotient(w, draw(st.sampled_from(contexts)),
+                             draw(st.integers(0, len(lat) - 1)), draw(number(kind, 2)))
     for _ in range(draw(st.integers(0, 3))):  # with_value: changed, new or undefined
         x, t = draw(st.sampled_from(lat.elements)), draw(st.sampled_from(lat.elements))
         w = w.with_value(x, t, draw(st.none() | number(kind, 2)))
@@ -257,6 +275,55 @@ def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
     # lattice each one is tested on its pair classes, and on no other
     contexts = [(t,) for t, row in enumerate(w._rows) if row is not None]
     assert sorted(tested) == (contexts if name in DISTRIBUTIVE else [])
+
+
+@pytest.mark.parametrize("change", ["shifted", "changed quotient"])
+@pytest.mark.parametrize("name", ["B4", "D60"])
+def test_failing_stand_ins_decide_diamond_exact_rows(monkeypatch, name, change):
+    lat = REDUCED_LATTICES[name]
+    v = irreducible_sums(lat, range(1, len(lat.join_irreducibles()) + 1))
+    middle = lat.elements[len(lat) // 2]
+    if change == "shifted":
+        v = v.replace(middle, v(middle) + 1)
+    w = bivaluation_from_valuation(v, validate=False)
+    if change == "changed quotient":
+        w = changed_quotient(w, len(lat) - 1, lat._pos[middle], 0.5)
+    assert all(valuation._diamond_exact(w._rows, valuation._table(lat))[1:])
+    kernel, ran = valuation._kernel, []
+
+    def spy(rule, tol, p, raw, blocks, block, *rest, **options):
+        def spied(rows, scale, key):
+            ran.append((rule, key))
+            return block(rows, scale, key)
+        return kernel(rule, tol, p, raw, blocks, spied, *rest, **options)
+    monkeypatch.setattr(valuation, "_kernel", spy)
+    # every row with a context is diamond-exact, so the stand-ins decide
+    # every block, the failing ones included, and no block runs itself
+    reports = [(check(w, 0), reference(w, 0)) for check, reference in REDUCED_RULES]
+    assert ran == []
+    for report, expected in reports:
+        assert_same_report(report, expected)
+    failed = {report.rule for report, _ in reports if not report.passed}
+    assert "bisum" in failed and ("context" in failed or change == "shifted")
+
+
+def test_violation_sides_keep_their_json_types():
+    # an int table, w(x | t) = v(x ^ t) unnormalized, and an exact one
+    lat = boolean_lattice("abc")
+    shifted = irreducible_sums(lat, [1, 2, 3]).replace("{a,b}", 4)
+    ints = BiValuation(lat, {(x, t): shifted(lat.meet(x, t))
+                             for x in lat.elements for t in lat.elements})
+    v = irreducible_sums(lat, [Fraction(1, 3), Fraction(2, 5), Fraction(4, 7)])
+    exact = bivaluation_from_valuation(v.replace("{a,b}", v("{a,b}") + Fraction(1, 2)),
+                                       validate=False)
+    for w, kind in ((ints, int), (exact, str)):
+        sides = set()
+        for check, reference in BIVALUATION_RULES:
+            report = check(w, 0)
+            assert_same_report(report, reference(w, 0))
+            sides |= {type(entry[side]) for entry in report.to_dict()["violations"]
+                      for side in ("lhs", "rhs", "residual")}
+        assert sides == {kind}
 
 
 def test_built_rows_share_their_quotients_and_copied_rows_do_not():
