@@ -120,13 +120,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_payload(args, payload: dict, text_lines: list[str]) -> None:
+def _emit_payload(args, payload, text_lines) -> None:
+    """Write payload() as JSON or text_lines() as text, as --format asks;
+    only the requested form is built."""
     from .serialize import dumps_canonical
 
     if args.format == "json":
-        _emit(args, dumps_canonical(payload))
+        _emit(args, dumps_canonical(payload()))
     else:
-        _emit(args, "\n".join(text_lines) + "\n")
+        _emit(args, "\n".join(text_lines()) + "\n")
 
 
 def _two_ids(text: str, what: str) -> list[str]:
@@ -142,21 +144,22 @@ def _cmd_poset_check(args) -> int:
 
     p = load_poset(args.input)
     cert = p.is_lattice()
-    payload = {"elements": len(p), "covers": len(p.covers),
-               "certificate": cert.to_dict()}
-    lines = [f"elements: {len(p)}", f"covers: {len(p.covers)}",
-             f"lattice: {'yes' if cert.is_lattice else 'no'}"]
-    code = 0
-    if cert.is_lattice:
-        report = verify_consistency_relations(p)
-        payload["consistency"] = report.to_dict()
-        lines += report.text_lines()
-        code = 0 if report.passed else 1
-    else:
-        lines.append(f"witness: {cert.witness[0]}, {cert.witness[1]}")
-        code = 1
+    report = verify_consistency_relations(p) if cert.is_lattice else None
+
+    def payload():
+        doc = {"elements": len(p), "covers": len(p.covers), "certificate": cert.to_dict()}
+        if report:
+            doc["consistency"] = report.to_dict()
+        return doc
+
+    def lines():
+        head = [f"elements: {len(p)}", f"covers: {len(p.covers)}",
+                f"lattice: {'yes' if cert.is_lattice else 'no'}"]
+        if report:
+            return head + report.text_lines()
+        return head + [f"witness: {cert.witness[0]}, {cert.witness[1]}"]
     _emit_payload(args, payload, lines)
-    return code
+    return 0 if report and report.passed else 1
 
 
 def _cmd_poset_dot(args) -> int:
@@ -217,13 +220,10 @@ def _cmd_rules_audit(args) -> int:
         audit, subject = _resolve(ref), (w if on_w else v)
         reports.append(audit(subject, tol) if with_tol else audit(subject))
     passed = all(r.passed for r in reports)
-    payload = {"tolerance": tol, "passed": passed,
-               "reports": [r.to_dict() for r in reports]}
-    lines = []
-    for r in reports:
-        lines += r.text_lines()
-    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    _emit_payload(args, payload, lines)
+    _emit_payload(args, lambda: {"tolerance": tol, "passed": passed,
+                                 "reports": [r.to_dict() for r in reports]},
+                  lambda: [line for r in reports for line in r.text_lines()]
+                  + [f"overall: {'PASS' if passed else 'FAIL'}"])
     return 0 if passed else 1
 
 
@@ -235,8 +235,8 @@ def _cmd_info_entropy(args) -> int:
     d = load_distribution(args.dist)
     part = Partition.parse(args.partition)
     h = partition_entropy(part, d)
-    payload = {"partition": part.literal(), "entropy_bits": h}
-    _emit_payload(args, payload, [f"H({part.literal()}) = {h} bits"])
+    _emit_payload(args, lambda: {"partition": part.literal(), "entropy_bits": h},
+                  lambda: [f"H({part.literal()}) = {h} bits"])
     return 0
 
 
@@ -248,10 +248,9 @@ def _cmd_info_mutual(args) -> int:
     d = load_distribution(args.dist)
     a, b = Partition.parse(args.a), Partition.parse(args.b)
     rep = mutual_information(a, b, d)
-    payload = {"a": a.literal(), "b": b.literal(), **rep.to_dict()}
-    lines = [f"H(A) = {rep.h_a} bits", f"H(B) = {rep.h_b} bits",
-             f"H(joint) = {rep.h_joint} bits", f"I(A;B) = {rep.mi} bits"]
-    _emit_payload(args, payload, lines)
+    _emit_payload(args, lambda: {"a": a.literal(), "b": b.literal(), **rep.to_dict()},
+                  lambda: [f"H(A) = {rep.h_a} bits", f"H(B) = {rep.h_b} bits",
+                           f"H(joint) = {rep.h_joint} bits", f"I(A;B) = {rep.mi} bits"])
     return 0
 
 
@@ -265,15 +264,14 @@ def _cmd_st_project(args) -> int:
     try:
         index = project(e, c)
     except NotQuantifiable as exc:
-        payload = {"event": args.event, "chain": args.chain,
-                   "quantifiable": False, "reason": str(exc)}
-        _emit_payload(args, payload, [f"not quantifiable: {exc}"])
+        _emit_payload(args, lambda: {"event": args.event, "chain": args.chain,
+                                     "quantifiable": False, "reason": str(exc)},
+                      lambda: [f"not quantifiable: {exc}"])
         return 1
-    payload = {"event": args.event, "chain": args.chain,
-               "quantifiable": True, "index": index,
-               "label": str(c.label_of(index))}
-    _emit_payload(args, payload,
-                  [f"{args.event} -> {args.chain}[{index}] (label {c.label_of(index)})"])
+    _emit_payload(args, lambda: {"event": args.event, "chain": args.chain,
+                                 "quantifiable": True, "index": index,
+                                 "label": str(c.label_of(index))},
+                  lambda: [f"{args.event} -> {args.chain}[{index}] (label {c.label_of(index)})"])
     return 0
 
 
@@ -288,10 +286,9 @@ def _cmd_st_sync(args) -> int:
     except ValueError:
         raise OrdinalError(f"--range needs two integers lo,hi, got {args.range!r}") from None
     ok = check_synchronized(scene.chain(names[0]), scene.chain(names[1]), (lo, hi))
-    payload = {"chains": names, "range": [lo, hi], "synchronized": ok}
-    _emit_payload(args, payload,
-                  [f"{names[0]} and {names[1]} over [{lo}, {hi}]: "
-                   f"{'synchronized' if ok else 'NOT synchronized'}"])
+    _emit_payload(args, lambda: {"chains": names, "range": [lo, hi], "synchronized": ok},
+                  lambda: [f"{names[0]} and {names[1]} over [{lo}, {hi}]: "
+                           f"{'synchronized' if ok else 'NOT synchronized'}"])
     return 0 if ok else 1
 
 
@@ -323,23 +320,24 @@ def _cmd_st_interval(args) -> int:
         rows.append({"frame": name, **ip.to_dict()})
     scalars = {row["ds2"] for row in rows if "ds2" in row}
     invariant = len(scalars) == 1 and code == 0
-    payload = {"events": names, "rows": rows, "invariant": invariant}
     if not invariant:
         code = max(code, 1)
 
-    header = ("frame", "dp", "dq", "dt", "dx", "ds2")
-    cells = []
-    for row in rows:
-        if "error" in row:
-            cells.append([row["frame"], "error: " + row["error"], "", "", "", ""])
-        else:
-            cells.append([row[col] for col in header])
-    widths = [max(len(str(c[i])) for c in [header] + cells) for i in range(len(header))]
-    lines = ["  ".join(str(col).ljust(widths[i]) for i, col in enumerate(header))]
-    lines += ["  ".join(str(row[i]).ljust(widths[i]) for i in range(len(header)))
-              for row in cells]
-    lines.append(f"invariant: {'yes' if invariant else 'no'}")
-    _emit_payload(args, payload, lines)
+    def lines():
+        header = ("frame", "dp", "dq", "dt", "dx", "ds2")
+        cells = []
+        for row in rows:
+            if "error" in row:
+                cells.append([row["frame"], "error: " + row["error"], "", "", "", ""])
+            else:
+                cells.append([row[col] for col in header])
+        widths = [max(len(str(c[i])) for c in [header] + cells) for i in range(len(header))]
+        table = ["  ".join(str(col).ljust(widths[i]) for i, col in enumerate(header))]
+        table += ["  ".join(str(row[i]).ljust(widths[i]) for i in range(len(header)))
+                  for row in cells]
+        return table + [f"invariant: {'yes' if invariant else 'no'}"]
+    _emit_payload(args, lambda: {"events": names, "rows": rows, "invariant": invariant},
+                  lines)
     return code
 
 

@@ -21,8 +21,11 @@ against rows of 4096 and 4140 bits. Certifying those two takes about 0.05
 and 0.09 s, and 14 boolean atoms (16,384 elements) 0.3 s (CPython 3.11 on a
 shared 2-vCPU VM). Before a passing certificate exists, and on
 non-lattices, join and meet read the rows. Nothing is memoised per pair, so
-a poset's memory stays at its two row tables plus, once certified, four
-tables of n narrow masks.
+a poset's memory stays at its two row tables plus, once certified, two
+lists of n narrow masks indexed by position and their two inverse dicts.
+Below the public methods everything is numbered by topological position:
+``leq``, ``join`` and ``meet`` turn their two ids into positions once, and
+the certificate's tables hold positions only.
 The consistency audit, x <= y iff x v y = y iff x ^ y = x, first proves the
 statement for all n**2 pairs from those same tables, which ``leq``, ``join``
 and ``meet`` read (``Poset._consistency_holds``): 0.03-0.05 s at 12 boolean
@@ -40,7 +43,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (BoundExceeded, CycleDetected, NoUniqueBound, NotALattice,
@@ -50,27 +53,27 @@ from .report import RuleViolation, build_report
 
 @dataclass(frozen=True, slots=True)
 class StandardContext:
-    """A lattice as its irreducibles. An element's extent has bit k set for
-    each join_irreducibles[k] below it, its intent bit k for each
-    meet_irreducibles[k] above it; on a lattice both maps are injective, and
-    by_extent and by_intent are their inverses."""
+    """A lattice as its irreducibles, all by topological position. The
+    irreducibles are positions in id order. extent[p] has bit k set for
+    each join_irreducibles[k] below position p, intent[p] bit k for each
+    meet_irreducibles[k] above it; on a lattice both lists are injective,
+    and by_extent and by_intent map each mask back to its position."""
 
-    join_irreducibles: tuple[str, ...]
-    meet_irreducibles: tuple[str, ...]
-    extent: dict[str, int]
-    intent: dict[str, int]
-    by_extent: dict[int, str]
-    by_intent: dict[int, str]
+    join_irreducibles: tuple[int, ...]
+    meet_irreducibles: tuple[int, ...]
+    extent: list[int]
+    intent: list[int]
+    by_extent: dict[int, int]
+    by_intent: dict[int, int]
 
 
 @dataclass(frozen=True)
 class LatticeCertificate:
-    """Verdict of the lattice check. A passing certificate made by a Poset
-    carries the standard context its join and meet answer from."""
+    """Verdict of the lattice check: a lattice, or a witness pair that has
+    no unique join or meet. A Poset keeps its standard context itself."""
 
     is_lattice: bool
     witness: tuple[str, str] | None = None
-    context: StandardContext | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.is_lattice == (self.witness is not None):
@@ -137,13 +140,18 @@ class Poset:
         except KeyError:
             raise _unknown(element) from None
 
-    def leq(self, x: str, y: str) -> bool:
-        """True iff x is included by y."""
-        up, pos = self._up_t, self._pos
+    def _positions(self, x: str, y: str) -> tuple[int, int]:
+        """The positions of x and y, the one id lookup of leq, join and meet."""
+        pos = self._pos
         try:
-            return bool(up[pos[x]] >> pos[y] & 1)
+            return pos[x], pos[y]
         except KeyError:
             raise _unknown(x if x not in pos else y) from None
+
+    def leq(self, x: str, y: str) -> bool:
+        """True iff x is included by y."""
+        a, b = self._positions(x, y)
+        return bool(self._up_t[a] >> b & 1)
 
     def upper_bound(self, s: Iterable[str]) -> list[str]:
         """Every z with x <= z for all x in s (reflexive), canonical order."""
@@ -171,33 +179,23 @@ class Poset:
     def _maximal_positions(self, mask: int) -> list[int]:
         return [p for p in _bits(mask) if self._up_t[p] & mask == 1 << p]
 
-    # join and meet are the hot path of every audit, so each does its own
-    # lookups in one frame. A certified lattice answers from its standard
-    # context: the intent of x v y is int(x) & int(y), and the extent of
-    # x ^ y is ext(x) & ext(y).
+    # A certified lattice answers from its standard context: the intent of
+    # x v y is int(x) & int(y), and the extent of x ^ y is ext(x) & ext(y).
 
     def join(self, x: str, y: str) -> str:
         """Unique least upper bound; NoUniqueBound when absent or ambiguous."""
+        a, b = self._positions(x, y)
         context = self._context
         if context is None:
-            return self._join_rows(x, y)
-        intent = context.intent
-        try:
-            both = intent[x] & intent[y]
-        except KeyError:
-            raise _unknown(x if x not in intent else y) from None
-        return context.by_intent[both]
+            return self._join_rows(a, b)
+        return self._at[context.by_intent[context.intent[a] & context.intent[b]]]
 
     def meet(self, x: str, y: str) -> str:
+        a, b = self._positions(x, y)
         context = self._context
         if context is None:
-            return self._meet_rows(x, y)
-        extent = context.extent
-        try:
-            both = extent[x] & extent[y]
-        except KeyError:
-            raise _unknown(x if x not in extent else y) from None
-        return context.by_extent[both]
+            return self._meet_rows(a, b)
+        return self._at[context.by_extent[context.extent[a] & context.extent[b]]]
 
     # On rows: an intersection of up-sets is up-closed, so it holds its
     # lowest position's whole up-set; that position is the least element
@@ -205,29 +203,23 @@ class Poset:
     # intersection never equals a row, since every row holds its own bit.
     # Dually for meets.
 
-    def _join_rows(self, x: str, y: str) -> str:
-        up, pos = self._up_t, self._pos
-        try:
-            mask = up[pos[x]] & up[pos[y]]
-        except KeyError:
-            raise _unknown(x if x not in pos else y) from None
+    def _join_rows(self, a: int, b: int) -> str:
+        up = self._up_t
+        mask = up[a] & up[b]
         low = (mask & -mask).bit_length() - 1
         if up[low] != mask:
-            a, b = sorted((x, y))
-            raise NoUniqueBound(f"join of {a!r} and {b!r}: "
+            x, y = sorted((self._at[a], self._at[b]))
+            raise NoUniqueBound(f"join of {x!r} and {y!r}: "
                                 f"{len(self._minimal_positions(mask))} minimal upper bounds")
         return self._at[low]
 
-    def _meet_rows(self, x: str, y: str) -> str:
-        down, pos = self._down_t, self._pos
-        try:
-            mask = down[pos[x]] & down[pos[y]]
-        except KeyError:
-            raise _unknown(x if x not in pos else y) from None
+    def _meet_rows(self, a: int, b: int) -> str:
+        down = self._down_t
+        mask = down[a] & down[b]
         high = mask.bit_length() - 1
         if down[high] != mask:
-            a, b = sorted((x, y))
-            raise NoUniqueBound(f"meet of {a!r} and {b!r}: "
+            x, y = sorted((self._at[a], self._at[b]))
+            raise NoUniqueBound(f"meet of {x!r} and {y!r}: "
                                 f"{len(self._maximal_positions(mask))} maximal lower bounds")
         return self._at[high]
 
@@ -245,7 +237,7 @@ class Poset:
         lexicographic order without a unique join or meet."""
         if self._certificate is None:
             self._context = self._standard_context()
-            self._certificate = (LatticeCertificate(True, context=self._context)
+            self._certificate = (LatticeCertificate(True)
                                  if self._context is not None
                                  else LatticeCertificate(False, self._first_witness()))
         return self._certificate
@@ -271,19 +263,20 @@ class Poset:
         its upper covers' extents (all of J for none). So (a) and (c) cost
         one pass over the covers each, and (b) costs n * |M| lookups.
         """
-        n, pos, at, up = len(self._at), self._pos, self._at, self._up_t
+        n, pos, up = len(self._at), self._pos, self._up_t
         lower: list[list[int]] = [[] for _ in range(n)]
         upper: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.covers:
             lower[pos[b]].append(pos[a])
             upper[pos[a]].append(pos[b])
-        jirr = tuple(x for x in self.elements if len(lower[pos[x]]) == 1)
-        mirr = tuple(x for x in self.elements if len(upper[pos[x]]) == 1)
+        order = [pos[x] for x in self.elements]
+        jirr = tuple(p for p in order if len(lower[p]) == 1)
+        mirr = tuple(p for p in order if len(upper[p]) == 1)
         ext, intent = [0] * n, [0] * n
         for k, j in enumerate(jirr):
-            ext[pos[j]] = 1 << k
+            ext[j] = 1 << k
         for k, m in enumerate(mirr):
-            intent[pos[m]] = 1 << k
+            intent[m] = 1 << k
         for p in range(n):  # bottoms first, so each lower cover is done
             ups = self._full
             for c in lower[p]:
@@ -299,12 +292,12 @@ class Poset:
                 exts &= ext[d]
             if len(upper[p]) != 1 and exts != ext[p]:
                 return None
-        by_extent = dict(zip(ext, at))
-        m_exts = [ext[pos[m]] for m in mirr]
+        by_extent = dict(zip(ext, range(n)))
+        m_exts = [ext[m] for m in mirr]
         if any(e & f not in by_extent for e in ext for f in m_exts):
             return None
-        return StandardContext(jirr, mirr, dict(zip(at, ext)), dict(zip(at, intent)),
-                               by_extent, dict(zip(intent, at)))
+        return StandardContext(jirr, mirr, ext, intent, by_extent,
+                               dict(zip(intent, range(n))))
 
     def _consistency_holds(self) -> bool:
         """Prove x <= y  <=>  (join(x, y) == y and meet(x, y) == x) for every
@@ -312,10 +305,10 @@ class Poset:
         for leq, extent and by_extent for meet, intent and by_intent for join.
         False when the tables do not show it; a False proves nothing.
 
-        Once _pos maps the elements onto range(n), positions stand for them.
-        Write E(x), I(x) for x's extent and intent, J[k] and M[i] for the
-        irreducibles behind bits k and i. The statement holds when every mask
-        fits in |J| or |M| bits and
+        Once _pos inverts _at, positions stand for the elements. Write E(x),
+        I(x) for x's extent and intent, J[k] and M[i] for the irreducibles
+        behind bits k and i. The statement holds when every mask fits in |J|
+        or |M| bits and
           (C1) E and I are injective, with by_extent, by_intent as inverses;
           (C2) the x with bit k in E(x) are exactly J[k]'s up row;
           (C3) x's up row is the AND of J[k]'s up rows over k in E(x);
@@ -340,27 +333,20 @@ class Poset:
         That costs n * (|J| + |M|) narrow mask operations, one row AND per
         extent bit and at most |J| row ORs per element of M.
         """
-        context, pos, up = self._context, self._pos, self._up_t
-        n = len(self.elements)
-        if context is None or len(up) < n:
+        context, up, n = self._context, self._up_t, len(self._at)
+        positions = list(range(n))
+        if (context is None or len(up) < n
+                or [self._pos.get(x) for x in self._at] != positions):
             return False
-        at: list = [None] * n
-        for x in self.elements:
-            p = pos.get(x, -1)
-            if not 0 <= p < n or at[p] is not None:
-                return False
-            at[p] = x
+        ext, ints = context.extent, context.intent
         by_extent, by_intent = context.by_extent, context.by_intent
-        ext = [context.extent.get(x, -1) for x in at]
-        ints = [context.intent.get(x, -1) for x in at]
-        jpos = [pos.get(j, -1) for j in context.join_irreducibles]
-        mpos = [pos.get(m, -1) for m in context.meet_irreducibles]
+        jpos, mpos = context.join_irreducibles, context.meet_irreducibles
         every_j, every_m = (1 << len(jpos)) - 1, (1 << len(mpos)) - 1
         if (len(by_extent) != n or len(by_intent) != n  # C1
-                or not all(0 <= e <= every_j and by_extent.get(e) == x
-                           for e, x in zip(ext, at))
-                or not all(0 <= i <= every_m and by_intent.get(i) == x
-                           for i, x in zip(ints, at))
+                or [by_extent.get(e) for e in ext] != positions
+                or [by_intent.get(i) for i in ints] != positions
+                or not all(0 <= e <= every_j for e in ext)
+                or not all(0 <= i <= every_m for i in ints)
                 or not all(0 <= q < n for q in jpos + mpos)):
             return False
         ext_bits = [[*_bits(e)] for e in ext]
@@ -393,20 +379,21 @@ class Poset:
         """The first pair in lexicographic order without a unique join or
         meet. Every non-lattice has one, and LatticeCertificate refuses a
         failing verdict without it."""
-        for i, x in enumerate(self.elements):
-            for y in self.elements[i + 1:]:
+        order = [self._pos[x] for x in self.elements]
+        for i, a in enumerate(order):
+            for b in order[i + 1:]:
                 try:
-                    self._join_rows(x, y)
-                    self._meet_rows(x, y)
+                    self._join_rows(a, b)
+                    self._meet_rows(a, b)
                 except NoUniqueBound:
-                    return x, y
+                    return self._at[a], self._at[b]
         return None
 
     def _require_lattice(self) -> StandardContext:
         cert = self.is_lattice()
         if not cert.is_lattice:
             raise NotALattice(f"poset is not a lattice, witness pair {cert.witness}")
-        return cert.context
+        return self._context
 
     def join_irreducibles(self) -> list[str]:
         """Elements no pair of strictly smaller elements joins to; bottom excluded.
@@ -415,11 +402,11 @@ class Poset:
         cover: two lower covers of x join to x, and below a single lower
         cover c every join of smaller elements stays at or under c.
         """
-        return list(self._require_lattice().join_irreducibles)
+        return [self._at[j] for j in self._require_lattice().join_irreducibles]
 
     def meet_irreducibles(self) -> list[str]:
         """Elements with exactly one upper cover; the dual of join-irreducibles."""
-        return list(self._require_lattice().meet_irreducibles)
+        return [self._at[m] for m in self._require_lattice().meet_irreducibles]
 
     def to_dict(self) -> dict:
         return {"elements": list(self.elements),
@@ -671,10 +658,19 @@ def pair_id(x: str, y: str) -> str:
 
 
 def lattice_product(p: Poset, q: Poset) -> Poset:
-    """Cartesian product with componentwise order; requires two lattices."""
+    """Cartesian product with componentwise order; requires two lattices.
+
+    Pairs are named by pair_id, so factor ids holding ',' can give two
+    pairs one id; that raises ValueError instead of merging them.
+    """
     p._require_lattice()
     q._require_lattice()
     elements = [pair_id(x, y) for x in p.elements for y in q.elements]
+    seen: set[str] = set()
+    for e in elements:
+        if e in seen:
+            raise ValueError(f"product id {e!r} names two distinct pairs")
+        seen.add(e)
     covers = []
     for x in p.elements:
         for (a, b) in q.covers:

@@ -258,8 +258,7 @@ def _table(p: Poset, join: bool = False) -> list[list[int]]:
     """n x n positions of x ^ y (x v y if join), by intersecting extents (intents)."""
     c = p._require_lattice()
     masks, owner = (c.intent, c.by_intent) if join else (c.extent, c.by_extent)
-    at, row = {m: p._pos[e] for m, e in owner.items()}, [masks[e] for e in p._at]
-    return [[at[a & b] for b in row] for a in row]
+    return [[owner[a & b] for b in masks] for a in masks]
 
 
 def _gather(indices):
@@ -297,7 +296,7 @@ def _distributive(p: Poset) -> bool:
     the down-sets of J (Birkhoff)."""
     c = p._require_lattice()
     j_exts = [c.extent[j] for j in c.join_irreducibles]
-    return all(c.by_extent.keys() >= {e | f for f in j_exts} for e in c.by_extent)
+    return all(c.by_extent.keys() >= {e | f for f in j_exts} for e in c.extent)
 
 
 def _fibers(meets) -> dict[int, list[int]]:

@@ -188,8 +188,9 @@ DISTRIBUTIVE = {"B1", "B2", "B3", "B4", "B5", "D60"}
 def irreducible_sums(lat, weights):
     """v(x) = the sum of the weights of the join-irreducibles below x, with
     an int 0 at the bottom; on a distributive lattice v keeps the sum rule."""
-    context = lat.is_lattice().context
-    return Valuation(lat, {x: sum(w for k, w in enumerate(weights) if context.extent[x] >> k & 1)
+    extent = lat._require_lattice().extent
+    return Valuation(lat, {x: sum(w for k, w in enumerate(weights)
+                                  if extent[lat._pos[x]] >> k & 1)
                            for x in lat.elements})
 
 
@@ -224,7 +225,7 @@ def reduced_inputs(draw):
     name = draw(st.sampled_from(sorted(REDUCED_LATTICES)))
     lat = REDUCED_LATTICES[name]
     kind = draw(st.sampled_from(KINDS))
-    size = len(lat.is_lattice().context.join_irreducibles)
+    size = len(lat.join_irreducibles())
     weights = draw(st.lists(number(kind), min_size=size, max_size=size))
     if weights and draw(st.booleans()):  # a zero-weight atom makes zero-measure contexts
         weights[draw(st.integers(0, size - 1))] *= 0

@@ -4,6 +4,7 @@ import pytest
 
 from ordinal import boolean_lattice, partition_lattice
 from ordinal.cli import run
+from ordinal.report import RuleReport
 
 BOOST_SCENE = {
     "events": [{"id": "e1", "t": "0", "x": "0"},
@@ -176,6 +177,25 @@ def test_rules_audit_total_mode_failure_round_trips(tmp_path, capsys):
     for viol, line in zip(violations, text_violations):
         assert ", ".join(viol["instance"]) in line
         assert f"residual={viol['residual']}" in line
+
+
+@pytest.mark.parametrize("fmt, unused", [("json", "text_lines"), ("text", "to_dict")])
+def test_only_the_requested_format_is_built(tmp_path, monkeypatch, capsys, fmt, unused):
+    poset_path, atoms_path = write_audit_inputs(tmp_path, {"a": 1, "b": 2, "c": 3})
+    values_path = tmp_path / "values.json"
+    values_path.write_text(json.dumps({"{}": 0, "{a}": 1, "{b}": 1, "{c}": 1, "{a,b}": 2,
+                                       "{a,c}": 2, "{b,c}": 3, "{a,b,c}": 3}))
+    commands = [("poset", "check", "--input", poset_path),
+                ("rules", "audit", "--poset", poset_path, "--atoms", atoms_path),
+                ("rules", "audit", "--poset", poset_path, "--values", str(values_path))]
+    expected = [invoke(capsys, *argv, "--format", fmt) for argv in commands]
+    assert [code for code, _, _ in expected] == [0, 0, 1]
+
+    def refuse(self):
+        raise AssertionError(f"RuleReport.{unused} called for --format {fmt}")
+    monkeypatch.setattr(RuleReport, unused, refuse)
+    for argv, before in zip(commands, expected):
+        assert invoke(capsys, *argv, "--format", fmt) == before
 
 
 def test_rules_audit_unknown_rule(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_join_and_meet_name_the_unknown_element():
     for certified in (False, True):
         if certified:
             assert p.is_lattice().is_lattice
-        for op in (p.join, p.meet):
+        for op in (p.leq, p.join, p.meet):
             for x, y, unknown in [("7", "2", "7"), ("2", "7", "7"), ("7", "8", "7")]:
                 with pytest.raises(UnknownElement) as err:
                     op(x, y)
@@ -388,10 +388,10 @@ def test_consistency_audits_the_public_join(monkeypatch):
     # meet reads the extents: with ext(2) := ext(4), "2" meets like "4"
     ("extent", [("2", "12"), ("2", "2"), ("2", "4")]),
 ])
-def test_consistency_audits_the_narrow_tables(monkeypatch, table, expected):
+def test_consistency_audits_the_narrow_tables(table, expected):
     p = divisor_lattice(12)
-    masks = getattr(p.is_lattice().context, table)
-    monkeypatch.setitem(masks, "2", masks["4"])
+    masks = getattr(p._require_lattice(), table)
+    masks[p._pos["2"]] = masks[p._pos["4"]]
     report = verify_consistency_relations(p)
     assert [(v.instance, v.lhs, v.rhs) for v in report.violations] == [
         (pair, 1.0, 0.0) for pair in expected]
@@ -469,17 +469,18 @@ PROOF_LATTICES = [
 
 
 def order_context(p, jirr=None, mirr=None):
-    """The tables a certified lattice holds, by their definitions, for any
-    poset and, if given, any lists of irreducibles in place of the elements
-    with one lower and one upper cover."""
+    """The tables a certified lattice holds, by their definitions and by
+    position, for any poset and, if given, any lists of irreducible ids in
+    place of the elements with one lower and one upper cover."""
     if jirr is None:
         jirr = tuple(x for x in p.elements if sum(b == x for _, b in p.covers) == 1)
     if mirr is None:
         mirr = tuple(x for x in p.elements if sum(a == x for a, _ in p.covers) == 1)
-    extent = {x: sum(1 << k for k, j in enumerate(jirr) if p.leq(j, x)) for x in p.elements}
-    intent = {x: sum(1 << k for k, m in enumerate(mirr) if p.leq(x, m)) for x in p.elements}
-    return StandardContext(jirr, mirr, extent, intent, {e: x for x, e in extent.items()},
-                           {i: x for x, i in intent.items()})
+    extent = [sum(1 << k for k, j in enumerate(jirr) if p.leq(j, x)) for x in p._at]
+    intent = [sum(1 << k for k, m in enumerate(mirr) if p.leq(x, m)) for x in p._at]
+    return StandardContext(tuple(p._pos[j] for j in jirr), tuple(p._pos[m] for m in mirr),
+                           extent, intent, {e: q for q, e in enumerate(extent)},
+                           {i: q for q, i in enumerate(intent)})
 
 
 def corrupt(p, data):
@@ -488,7 +489,7 @@ def corrupt(p, data):
     table = data.draw(st.sampled_from(
         ["none", "_up_t", "_pos", "extent", "intent", "by_extent", "by_intent"]))
     context, n = p._context, len(p)
-    element = st.sampled_from(p.elements)
+    element, position = st.sampled_from(p.elements), st.integers(0, n - 1)
     if table == "_up_t":
         p._up_t[data.draw(st.integers(0, n - 1))] ^= 1 << data.draw(st.integers(0, n))
     elif table == "_pos":
@@ -501,9 +502,9 @@ def corrupt(p, data):
         masks = getattr(context, table)
         width = len(context.join_irreducibles if table == "extent"
                     else context.meet_irreducibles)
-        x = data.draw(element)
+        x = data.draw(position)
         if data.draw(st.booleans()):
-            masks[x] = masks[data.draw(element)]
+            masks[x] = masks[data.draw(position)]
         else:
             masks[x] ^= 1 << data.draw(st.integers(0, width))
     elif table in ("by_extent", "by_intent"):
@@ -511,11 +512,11 @@ def corrupt(p, data):
         key = data.draw(st.sampled_from(sorted(inverse)))
         how = data.draw(st.sampled_from(["move", "drop", "add"]))
         if how == "move":
-            inverse[key] = data.draw(element)
+            inverse[key] = data.draw(position)
         elif how == "drop":
             del inverse[key]
         else:
-            inverse[key ^ 1 << data.draw(st.integers(0, 8))] = data.draw(element)
+            inverse[key ^ 1 << data.draw(st.integers(0, 8))] = data.draw(position)
     return table
 
 
@@ -528,10 +529,10 @@ def certified(p, change):
 
 def with_tables(p, jirr=None, mirr=None, by_extent=(), by_intent=()):
     """p with the tables that order_context defines, plus any extra entries
-    for the inverses."""
+    for the inverses, each a mask and an element id."""
     p._context = order_context(p, jirr, mirr)
-    p._context.by_extent.update(by_extent)
-    p._context.by_intent.update(by_intent)
+    p._context.by_extent.update((e, p._pos[x]) for e, x in dict(by_extent).items())
+    p._context.by_intent.update((i, p._pos[x]) for i, x in dict(by_intent).items())
     return p
 
 
@@ -545,10 +546,10 @@ def grow_row(element, by):
 def drop_an_intent_bit(p):
     # in the chain 0 < 1 < 2, M is (0, 1); without 1, 0's intent is still
     # unique, and join(0, 1) finds the intent of 2
-    context = p._context
-    del context.by_intent[context.intent["0"]]
-    context.intent["0"] = 0b01
-    context.by_intent[0b01] = "0"
+    context, zero = p._context, p._pos["0"]
+    del context.by_intent[context.intent[zero]]
+    context.intent[zero] = 0b01
+    context.by_intent[0b01] = zero
 
 
 @pytest.mark.parametrize("make", [
@@ -806,3 +807,13 @@ def test_product_join_meet_componentwise(b3):
 def test_product_requires_lattices(bowtie):
     with pytest.raises(NotALattice):
         lattice_product(bowtie, chain_poset(["0", "1"]))
+
+
+def test_product_rejects_factor_ids_whose_pair_ids_collide():
+    # ('x', 'y,z') and ('x,y', 'z') are both named "(x,y,z)": the first
+    # product was merged into a 3-element chain, the second rejected as cyclic
+    for left, right, shared in [(["x", "x,y"], ["z", "y,z"], "(x,y,z)"),
+                                (["a", "a,b"], ["b,c", "c"], "(a,b,c)")]:
+        with pytest.raises(ValueError) as err:
+            lattice_product(chain_poset(left), chain_poset(right))
+        assert str(err.value) == f"product id {shared!r} names two distinct pairs"
