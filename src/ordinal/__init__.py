@@ -6,7 +6,18 @@ each submodule in ``_EXPORTS`` (``ordinal.valuation``, say), is imported on
 its first use (PEP 562) and then stored here, so later lookups are plain
 attribute reads. The ``ordinal`` command follows the same rule: a run
 imports only the modules its command uses, so ``poset gen`` never compiles
-the valuation, spacetime or information code.
+the valuation, spacetime or information code. Past ``cli`` and ``errors``
+(and ``argparse``), each command group loads:
+
+- ``poset``: ``serialize``, ``poset``, ``report`` and ``_record``, with
+  ``json``, ``re`` and ``pathlib``; ``poset gen grid`` adds ``spacetime``;
+- ``rules``: the same plus ``valuation``, with ``fractions``;
+- ``info``: ``serialize``, ``information``, ``partitions`` and ``_record``;
+- ``spacetime``: ``serialize``, ``spacetime`` and ``_record``, with
+  ``fractions``.
+
+No command loads ``dataclasses`` or ``inspect``: the value records derive
+from ``_record.Record``.
 """
 __version__ = "0.1.0"
 

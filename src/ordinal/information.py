@@ -11,31 +11,30 @@ Logarithms are base 2 (bits) and 0*log(0) is 0 by continuity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import Record, set_field
 from .errors import GroundSetMismatch
 from .partitions import Partition
 
 _SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AtomDistribution:
+class AtomDistribution(Record):
     """Probabilities over atoms; must be finite, non-negative and sum to one."""
 
-    probs: Mapping[str, float]
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        for atom, prob in self.probs.items():
+    def __init__(self, probs: Mapping[str, float]):
+        for atom, prob in probs.items():
             if prob < 0:
                 raise ValueError(f"negative probability {prob} for atom {atom!r}")
             if isinstance(prob, float) and not math.isfinite(prob):
                 raise ValueError(f"probability {prob} for atom {atom!r} is not finite")
-        total = sum(self.probs.values())
+        total = sum(probs.values())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", dict(self.probs))
+        set_field(self, "probs", dict(probs))
 
     def ground_set(self) -> frozenset[str]:
         return frozenset(self.probs)
@@ -44,21 +43,21 @@ class AtomDistribution:
         return math.fsum(map(self.probs.__getitem__, block))
 
 
-@dataclass(frozen=True)
-class RelevanceReport:
+class RelevanceReport(Record):
     """Entropies (bits) of two partitions, their joint, and the shared part."""
 
-    h_a: float
-    h_b: float
-    h_joint: float
-    mi: float
+    __slots__ = ("h_a", "h_b", "h_joint", "mi")
 
-    def __post_init__(self):
-        if min(self.h_a, self.h_b, self.h_joint) < 0:
+    def __init__(self, h_a: float, h_b: float, h_joint: float, mi: float):
+        set_field(self, "h_a", h_a)
+        set_field(self, "h_b", h_b)
+        set_field(self, "h_joint", h_joint)
+        set_field(self, "mi", mi)
+        if min(h_a, h_b, h_joint) < 0:
             raise ValueError("entropies must be non-negative")
-        if self.mi < -1e-9:
-            raise ValueError(f"mutual information {self.mi} below tolerance")
-        if self.h_joint > self.h_a + self.h_b + 1e-9:
+        if mi < -1e-9:
+            raise ValueError(f"mutual information {mi} below tolerance")
+        if h_joint > h_a + h_b + 1e-9:
             raise ValueError("joint entropy exceeds the sum of marginals")
 
     def to_dict(self) -> dict:

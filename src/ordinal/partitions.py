@@ -1,23 +1,23 @@
 """Partitions of a finite atom set, ordered by refinement."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._record import Record, set_field
 from .errors import GroundSetMismatch
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A partition: disjoint non-empty blocks covering the ground set."""
 
-    blocks: frozenset[frozenset[str]]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: frozenset[frozenset[str]]):
+        set_field(self, "blocks", blocks)
+        if not blocks:
             raise ValueError("partition needs at least one block")
         total = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block in partition")
             total += len(block)

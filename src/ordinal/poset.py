@@ -43,40 +43,46 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .errors import (BoundExceeded, CycleDetected, NoUniqueBound, NotALattice,
                      RedundantCover, TooManyAtoms, UnknownElement)
 from .report import RuleViolation, build_report
 
 
-@dataclass(frozen=True, slots=True)
-class StandardContext:
+class StandardContext(Record):
     """A lattice as its irreducibles, all by topological position. The
     irreducibles are positions in id order. extent[p] has bit k set for
     each join_irreducibles[k] below position p, intent[p] bit k for each
     meet_irreducibles[k] above it; on a lattice both lists are injective,
     and by_extent and by_intent map each mask back to its position."""
 
-    join_irreducibles: tuple[int, ...]
-    meet_irreducibles: tuple[int, ...]
-    extent: list[int]
-    intent: list[int]
-    by_extent: dict[int, int]
-    by_intent: dict[int, int]
+    __slots__ = ("join_irreducibles", "meet_irreducibles", "extent", "intent",
+                 "by_extent", "by_intent")
+
+    def __init__(self, join_irreducibles: tuple[int, ...],
+                 meet_irreducibles: tuple[int, ...], extent: list[int],
+                 intent: list[int], by_extent: dict[int, int],
+                 by_intent: dict[int, int]):
+        set_field(self, "join_irreducibles", join_irreducibles)
+        set_field(self, "meet_irreducibles", meet_irreducibles)
+        set_field(self, "extent", extent)
+        set_field(self, "intent", intent)
+        set_field(self, "by_extent", by_extent)
+        set_field(self, "by_intent", by_intent)
 
 
-@dataclass(frozen=True)
-class LatticeCertificate:
+class LatticeCertificate(Record):
     """Verdict of the lattice check: a lattice, or a witness pair that has
     no unique join or meet. A Poset keeps its standard context itself."""
 
-    is_lattice: bool
-    witness: tuple[str, str] | None = None
+    __slots__ = ("is_lattice", "witness")
 
-    def __post_init__(self):
-        if self.is_lattice == (self.witness is not None):
+    def __init__(self, is_lattice: bool, witness: tuple[str, str] | None = None):
+        set_field(self, "is_lattice", is_lattice)
+        set_field(self, "witness", witness)
+        if is_lattice == (witness is not None):
             raise ValueError("witness is present exactly when the check fails")
 
     def to_dict(self) -> dict:

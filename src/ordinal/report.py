@@ -6,25 +6,31 @@ byte-stable when serialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import sys
+
+from ._record import Record, set_field
 
 
 def number_to_jsonable(x):
     """Fractions become exact strings; floats and ints pass through."""
     if type(x) is float or type(x) is int:  # skips Fraction's ABC check
         return x
-    if isinstance(x, Fraction):
+    # a Fraction exists only once fractions is imported, and a poset report,
+    # whose values are ints, should not import it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return str(x)
     return x
 
 
-@dataclass(frozen=True)
-class RuleViolation:
-    instance: tuple
-    lhs: object
-    rhs: object
-    residual: object
+class RuleViolation(Record):
+    __slots__ = ("instance", "lhs", "rhs", "residual")
+
+    def __init__(self, instance: tuple, lhs, rhs, residual):
+        set_field(self, "instance", instance)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "residual", residual)
 
     def to_dict(self) -> dict:
         return {
@@ -40,15 +46,22 @@ class RuleViolation:
                 f"residual={self.residual}")
 
 
-@dataclass
-class RuleReport:
-    """Outcome of one rule audit over a lattice or chain configuration."""
+class RuleReport(Record):
+    """Outcome of one rule audit over a lattice or chain configuration.
+    Unlike the other records it can be changed, so it has no hash."""
 
-    rule: str
-    checked: int
-    tolerance: object
-    violations: list[RuleViolation] = field(default_factory=list)
-    skipped: int = 0
+    __slots__ = ("rule", "checked", "tolerance", "violations", "skipped")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, rule: str, checked: int, tolerance,
+                 violations: list[RuleViolation] | None = None, skipped: int = 0):
+        self.rule = rule
+        self.checked = checked
+        self.tolerance = tolerance
+        self.violations = [] if violations is None else violations
+        self.skipped = skipped
 
     @property
     def passed(self) -> bool:

@@ -4,16 +4,18 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._record import Record, set_field
 from .errors import OrdinalError
 
 # each loader imports its domain module when it is called, so a command
-# loads only the modules it reads
+# loads only the modules it reads; fractions, likewise, loads only when a
+# rational is parsed
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .information import AtomDistribution
     from .poset import Poset
     from .spacetime import Event, ObserverChain
@@ -56,6 +58,8 @@ def load_poset(path) -> Poset:
     """Read ``{"elements": [...], "covers": [[lower, upper], ...]}``.
 
     Elements are non-empty strings; each cover is a list of two of them.
+    A document with no elements is refused: every audit of it would check
+    nothing and pass.
     """
     from .poset import build_poset
 
@@ -66,6 +70,8 @@ def load_poset(path) -> Poset:
     if not _strings(elements) or not all(elements):
         raise OrdinalError(f"malformed poset document {path}: "
                            "'elements' must be a list of non-empty strings")
+    if not elements:
+        raise OrdinalError(f"empty poset document {path}: 'elements' lists no element")
     if not isinstance(covers, list) or not all(_strings(c, 2) for c in covers):
         raise OrdinalError(f"malformed poset document {path}: "
                            "'covers' must be a list of [lower, upper] string pairs")
@@ -132,6 +138,8 @@ def load_distribution(path) -> AtomDistribution:
 def parse_rational(value) -> Fraction:
     """Accept ints and strings like ``"3"``, ``"-1/2"`` or ``"0.5"``, but no
     exponents: ``"1e-20000000"`` would expand to twenty million digits."""
+    from fractions import Fraction
+
     if isinstance(value, bool) or isinstance(value, float):
         raise OrdinalError(f"rationals must be integers or strings, got {value!r}")
     if isinstance(value, str) and re.search(r"[\d.][eE]", value):
@@ -142,13 +150,16 @@ def parse_rational(value) -> Fraction:
         raise OrdinalError(f"bad rational {value!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record):
     """Named events and chains, plus optional named frames (chain pairs)."""
 
-    events: dict[str, Event]
-    chains: dict[str, ObserverChain]
-    frames: dict[str, tuple[str, str]] = field(default_factory=dict)
+    __slots__ = ("events", "chains", "frames")
+
+    def __init__(self, events: dict[str, Event], chains: dict[str, ObserverChain],
+                 frames: dict[str, tuple[str, str]] | None = None):
+        set_field(self, "events", events)
+        set_field(self, "chains", chains)
+        set_field(self, "frames", {} if frames is None else frames)
 
     def event(self, name: str) -> Event:
         if name not in self.events:

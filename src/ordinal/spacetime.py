@@ -22,14 +22,17 @@ chain parameter 1/k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ._record import Record, set_field
 from .errors import (BoundExceeded, NonPositiveBoost, NotQuantifiable,
                      NotSynchronized)
-from .poset import Poset, build_poset
+
+# only causal_grid_poset builds a Poset, so it imports ordinal.poset itself
+if TYPE_CHECKING:
+    from .poset import Poset
 
 Rational = Fraction | int | str
 
@@ -38,16 +41,14 @@ def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A point of the causal order; coordinates are scaffolding, not claims."""
 
-    t: Fraction
-    x: Fraction
+    __slots__ = ("t", "x")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", _frac(self.t))
-        object.__setattr__(self, "x", _frac(self.x))
+    def __init__(self, t: Fraction, x: Fraction):
+        set_field(self, "t", _frac(t))
+        set_field(self, "x", _frac(x))
 
     @property
     def p(self) -> Fraction:
@@ -63,27 +64,27 @@ def causal_leq(e1: Event, e2: Event) -> bool:
     return e2.t - e1.t >= abs(e2.x - e1.x)
 
 
-@dataclass(frozen=True)
-class ObserverChain:
+class ObserverChain(Record):
     """Arithmetic sequence of events used as a measuring chain.
 
     ``index_range`` is inclusive; projections never extrapolate beyond it.
     """
 
-    origin: Event
-    k: Fraction = Fraction(1)
-    tick: Fraction = Fraction(1)
-    index_range: tuple[int, int] = (0, 100)
-    label: str = ""
+    __slots__ = ("origin", "k", "tick", "index_range", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _frac(self.k))
-        object.__setattr__(self, "tick", _frac(self.tick))
+    def __init__(self, origin: Event, k: Fraction = Fraction(1),
+                 tick: Fraction = Fraction(1),
+                 index_range: tuple[int, int] = (0, 100), label: str = ""):
+        set_field(self, "origin", origin)
+        set_field(self, "k", _frac(k))
+        set_field(self, "tick", _frac(tick))
+        set_field(self, "index_range", index_range)
+        set_field(self, "label", label)
         if self.k <= 0:
             raise ValueError("chain parameter k must be positive")
         if self.tick <= 0:
             raise ValueError("tick must be positive")
-        lo, hi = self.index_range
+        lo, hi = index_range
         if lo > hi:
             raise ValueError("index range is empty")
 
@@ -164,16 +165,14 @@ def check_synchronized(p: ObserverChain, q: ObserverChain,
     return True
 
 
-@dataclass(frozen=True)
-class IntervalPair:
+class IntervalPair(Record):
     """(dp, dq) quantification of an interval between two events."""
 
-    dp: Fraction
-    dq: Fraction
+    __slots__ = ("dp", "dq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dp", _frac(self.dp))
-        object.__setattr__(self, "dq", _frac(self.dq))
+    def __init__(self, dp: Fraction, dq: Fraction):
+        set_field(self, "dp", _frac(dp))
+        set_field(self, "dq", _frac(dq))
 
     @property
     def dt(self) -> Fraction:
@@ -254,14 +253,13 @@ def interval_pair(e1: Event, e2: Event, p: ObserverChain, q: ObserverChain,
                         q.label_of(j2) - q.label_of(j1))
 
 
-@dataclass(frozen=True)
-class Boost:
+class Boost(Record):
     """Multiplicative rescaling of light-cone components between frames."""
 
-    k: Fraction
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _frac(self.k))
+    def __init__(self, k: Fraction):
+        set_field(self, "k", _frac(k))
         if self.k <= 0:
             raise NonPositiveBoost(f"boost factor must be positive, got {self.k}")
 
@@ -295,6 +293,8 @@ def causal_grid_poset(n: int) -> Poset:
     are grid_event_id's ``(t,x)``, written from the integers without
     building the Events.
     """
+    from .poset import build_poset
+
     _require_grid_size(n)
     ids = [[f"({t},{x})" for x in range(n)] for t in range(n)]
     covers = [(here[x], later[x2])

@@ -66,12 +66,12 @@ operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, countOf, is_, itemgetter, mul, sub
 from typing import Mapping, Union
 
+from ._record import Record, set_field
 from .errors import (LatticeMismatch, NegativeAtomValue, UnknownElement,
                      ZeroMeasureContext)
 from .poset import Poset, _bits, pair_id, parse_subset_id
@@ -82,23 +82,22 @@ Value = Union[int, float, Fraction]
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Total real-valued assignment on the elements of one poset."""
 
-    poset: Poset
-    values: Mapping[str, Value]
+    __slots__ = ("poset", "values")
 
-    def __post_init__(self):
-        missing = [e for e in self.poset.elements if e not in self.values]
-        extra = [e for e in self.values if e not in self.poset]
+    def __init__(self, poset: Poset, values: Mapping[str, Value]):
+        missing = [e for e in poset.elements if e not in values]
+        extra = [e for e in values if e not in poset]
         if missing or extra:
             raise ValueError(f"valuation is not total: missing={missing[:3]} "
                              f"extra={extra[:3]}")
-        for element, value in self.values.items():
+        for element, value in values.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"element {element!r} has non-finite value {value}")
-        object.__setattr__(self, "values", dict(self.values))
+        set_field(self, "poset", poset)
+        set_field(self, "values", dict(values))
 
     def __call__(self, element: str) -> Value:
         if element not in self.poset:

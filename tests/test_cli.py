@@ -397,6 +397,24 @@ def test_truncated_document_names_its_file(tmp_path, monkeypatch, capsys, argv, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["poset", "check", "--input", "empty.json"],
+    ["poset", "check", "--input", "empty.json", "--format", "text"],
+    ["poset", "export-dot", "--input", "empty.json"],
+    ["rules", "audit", "--poset", "empty.json", "--values", "values.json"],
+], ids=["check", "check text", "export-dot", "rules audit"])
+def test_a_poset_document_with_no_elements_is_an_input_error(tmp_path, monkeypatch,
+                                                               capsys, argv):
+    # every audit of an empty poset checks nothing, and would pass vacuously
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text(json.dumps({"elements": [], "covers": []}))
+    (tmp_path / "values.json").write_text(json.dumps({"a": 1}))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("ordinal: error: empty poset document empty.json: "
+                   "'elements' lists no element\n")
+
+
 # --- usage errors ---
 
 RULE_NAMES = "('sum', 'bisum', 'chain', 'diamond', 'context', 'monotone')"

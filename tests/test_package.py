@@ -38,20 +38,47 @@ def test_bare_import_loads_no_submodule():
     assert lines == ["[]", "ordinal.valuation", "{a,b}"]
 
 
+# modules no command may load: dataclasses pulls in inspect, ast, dis and
+# tokenize, about 12 ms of every run
+NEVER = {"dataclasses", "inspect"}
+NO_SPACETIME = {"ordinal.information", "ordinal.partitions", "ordinal.spacetime"}
+ONLY_SPACETIME = {"ordinal.information", "ordinal.partitions", "ordinal.poset",
+                  "ordinal.report", "ordinal.valuation"}
+SCENE = {"events": [{"id": "e1", "t": "3", "x": "1"}, {"id": "e2", "t": "9", "x": "2"}],
+         "chains": [{"id": "P", "range": [0, 20]},
+                    {"id": "Q", "origin": {"t": "0", "x": "5"}, "range": [0, 20]}],
+         "frames": [{"id": "rest", "chains": ["P", "Q"]}]}
+B2 = {"elements": ["{a,b}", "{a}", "{b}", "{}"],
+      "covers": [["{a}", "{a,b}"], ["{b}", "{a,b}"], ["{}", "{a}"], ["{}", "{b}"]]}
+
+
 @pytest.mark.parametrize("argv, unused", [
-    (["--version"], SUBMODULES - {"errors"}),
+    (["--version"], {f"ordinal.{m}" for m in SUBMODULES - {"errors"}} | {"fractions"}),
     (["poset", "gen", "boolean", "--atoms", "a"],
-     {"information", "partitions", "spacetime", "valuation"}),
+     NO_SPACETIME | {"ordinal.valuation", "fractions", "decimal"}),
+    (["poset", "check", "--input", "b2.json"],
+     NO_SPACETIME | {"ordinal.valuation", "fractions", "decimal"}),
+    (["rules", "audit", "--poset", "b2.json", "--atoms", "w2.json"], NO_SPACETIME),
     (["info", "entropy", "--dist", "dist.json", "--partition", "a|b"],
-     {"poset", "report", "spacetime", "valuation"}),
-], ids=["version", "poset gen", "info entropy"])
+     {"ordinal.poset", "ordinal.report", "ordinal.spacetime", "ordinal.valuation",
+      "fractions"}),
+    (["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "0,5"],
+     ONLY_SPACETIME),
+    (["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+      "--frames", "rest"],
+     ONLY_SPACETIME),
+], ids=["version", "poset gen", "poset check", "rules audit", "info entropy",
+        "spacetime sync", "spacetime interval"])
 def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, unused):
-    (tmp_path / "dist.json").write_text(json.dumps({"probs": {"a": 0.5, "b": 0.5}}))
+    for name, doc in [("dist.json", {"probs": {"a": 0.5, "b": 0.5}}), ("b2.json", B2),
+                      ("w2.json", {"a": 1, "b": 2}), ("scene.json", SCENE)]:
+        (tmp_path / name).write_text(json.dumps(doc))
     lines = fresh_python(f"import json, sys\nfrom ordinal.cli import run\n"
-                         f"print(run({argv!r}))\n" + PRINT_LOADED + "\n", cwd=tmp_path)
-    code, loaded = lines[-2:]
-    assert code == "0"
-    assert unused.isdisjoint(json.loads(loaded))
+                         f"print(run({argv!r}))\n"
+                         "print(json.dumps(sorted(sys.modules)))\n", cwd=tmp_path)
+    ran, loaded = lines[-2:]
+    assert ran == "0"
+    assert (NEVER | unused).isdisjoint(json.loads(loaded))
 
 
 def test_every_export_resolves_to_the_object_its_submodule_defines():
