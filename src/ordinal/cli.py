@@ -362,7 +362,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[(args.group, args.command)](args)
-    except (OrdinalError, OSError, ValueError) as exc:  # ValueError: a rejected argument
+    # ValueError: a rejected argument; ArithmeticError: a value that overflows,
+    # such as an int too large for a float
+    except (OrdinalError, OSError, ValueError, ArithmeticError) as exc:
         print(f"ordinal: error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,6 +130,10 @@ class Poset:
         # the passing certificate's context, which join and meet read on
         # every call; None until is_lattice() has passed
         self._context: StandardContext | None = None
+        # the meet and join tables and down-set lists the valuation audits
+        # read, each built on first use (valuation._table) and dropped with
+        # the poset
+        self._tables: dict[str, list[list[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -18,7 +18,7 @@ would pass anything. Contexts with zero measure are skipped and counted.
 All but the product rule run on one kernel, on rows indexed by the poset's
 topological positions, one per context. The order comes from the poset's
 down-set rows, and meets and joins from the certificate's extents and intents,
-in n x n tables built per call. A valuation is one such row. A bi-valuation is
+in n x n tables, one per lattice. A valuation is such a row. A bi-valuation is
 stored as its rows, one per context with an entry, and the audits read them as
 they are: ``BiValuation.table`` builds an (x, t)-keyed dict on each access,
 and no audit calls it. A row is exact when each of its defined values is an
@@ -46,7 +46,8 @@ as a smaller one, which then stands in for it:
   - on a distributive lattice, the sum rule in a diamond-exact row t stands
     on the unordered pairs (a, b) below t, a == b included: (x v y) ^ t is
     (x ^ t) v (y ^ t), and addition is commutative, in IEEE floats too. At
-    B_n about 5**n / 2 pair classes replace n**2 (n - 1) / 2 instances.
+    B_n about 5**n / 2 pair classes replace n**2 (n - 1) / 2 instances, on
+    the block's own function over the down-set of t, not all elements.
     Distributivity comes from the certificate: ext(x) | ext(j) must be an
     extent for every x and each join-irreducible j.
 A stand-in runs in the same arithmetic as the block, since it reads the
@@ -66,9 +67,10 @@ operations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import product, repeat
-from operator import add, countOf, is_, itemgetter, mul, sub
+from itertools import accumulate, chain, count, product, repeat
+from operator import countOf, is_, itemgetter, mul, sub
 from typing import Mapping, Union
 
 from ._record import Record, set_field
@@ -253,10 +255,19 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
     return build_report(rule, checked, tol, violations, skipped)
 
 
-def _table(p: Poset, join: bool = False) -> list[list[int]]:
-    """n x n positions of x ^ y (x v y if join), by intersecting extents (intents)."""
-    c = p._require_lattice()
-    masks, owner = (c.intent, c.by_intent) if join else (c.extent, c.by_extent)
+def _table(p: Poset, kind: str) -> list[list[int]]:
+    """p's "meet" or "join" table, n x n positions of x ^ y or x v y, or its
+    "down" sets, each in increasing order; built on first use, kept on p."""
+    if kind not in p._tables:
+        p._tables[kind] = _build_table(p, kind)
+    return p._tables[kind]
+
+
+def _build_table(p: Poset, kind: str) -> list[list[int]]:
+    if kind == "down":
+        return [list(_bits(mask)) for mask in p._down_t]
+    c = p._require_lattice()  # meets intersect extents, joins intents
+    masks, owner = (c.intent, c.by_intent) if kind == "join" else (c.extent, c.by_extent)
     return [[owner[a & b] for b in masks] for a in masks]
 
 
@@ -270,11 +281,6 @@ def _gather(indices):
 def _times(stream, s):
     """The stream times s; at scale 1 the values pass through untouched."""
     return stream if s == 1 else map(mul, stream, repeat(s))
-
-
-def _down_sets(p: Poset) -> list[list[int]]:
-    """Each position's down-set, as positions in increasing order."""
-    return [list(_bits(mask)) for mask in p._down_t]
 
 
 def _diamond_exact(raw, meet) -> list[bool]:
@@ -324,19 +330,15 @@ def _chain_rule(down, raw):
     return block, instance
 
 
-def _pair_classes(join, meet, down):
-    """The sum rule's block (t,) over the unordered pairs (a, b) of elements
-    below t, a == b included, a before b in position order."""
-    def block(rows, scale, key):
-        (t,) = key
-        row, d = rows[t], down[t]
-        lhs, rhs = [], []
-        for i, a in enumerate(d):
-            join_a, meet_a, at_a = join[a], meet[a], row[a]
-            lhs += [row[join_a[b]] + row[meet_a[b]] for b in d[i:]]
-            rhs += [at_a + row[b] for b in d[i:]]
-        return lhs, rhs, scale[t]
-    return block
+def _pairs(d, skip):
+    """The function from k to the k-th pair (a, b) of d, b at least skip
+    places after a, as the sum rule lists them; and the number of pairs."""
+    starts = list(accumulate(range(len(d) - skip, 0, -1), initial=0))  # pairs before a = d[i]
+
+    def pair(k):
+        i = bisect_right(starts, k) - 1
+        return d[i], d[i + skip + k - starts[i]]
+    return pair, starts[-1]
 
 
 def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleReport:
@@ -351,40 +353,42 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleRepo
     fails each instance with x in the fiber of a (the x with x ^ t = a),
     y in the fiber of b and x != y, with the class's sides.
     """
-    n, order = len(p), [p._pos[e] for e in p.elements]
-    xs = [order[x] for x in range(n) for _ in range(x + 1, n)]
-    ys = [order[y] for x in range(n) for y in range(x + 1, n)]
-    join, meet = _table(p, join=True), _table(p)
-    joins, meets = ([op[x][y] for x, y in zip(xs, ys)] for op in (join, meet))
-    at_join, at_meet, at_x, at_y = map(_gather, (joins, meets, xs, ys))
+    join, meet = _table(p, "join"), _table(p, "meet")
 
-    def block(rows, scale, t):
-        row = rows[t]
-        return (map(add, at_join(row), at_meet(row)),
-                map(add, at_x(row), at_y(row)), scale[t])
+    def sides(row, d, skip):
+        """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
+        d, b at least skip places after a, made one list per a: d is every id
+        for block (t,), the down-set of t for its stand-in, or one pair."""
+        firsts = zip(count(), map(join.__getitem__, d), map(meet.__getitem__, d))
+        return (chain.from_iterable([row[join_a[b]] + row[meet_a[b]] for b in d[i + skip:]]
+                                    for i, join_a, meet_a in firsts),
+                chain.from_iterable([at_a + row[b] for b in d[i + skip:]]
+                                    for i, at_a in enumerate(map(row.__getitem__, d))))
 
-    def instance(t, k):
-        row, x, y = raw[t], xs[k], ys[k]
-        return ((x, y) if rule == "sum" else (t, x, y),
-                row[joins[k]] + row[meets[k]], row[x] + row[y])
+    def block(over, skip):  # block (t,) over the pairs of over(t)
+        return lambda rows, scale, key: (*sides(rows[key[0]], over(key[0]), skip), scale[key[0]])
+    ids = [p._pos[e] for e in p.elements]
+    pair, size = _pairs(ids, 1)
+
+    def instance(key, k):
+        (t,), (x, y) = key, pair(k)
+        return ((x, y) if rule == "sum" else (t, x, y), *map(next, sides(raw[t], (x, y), 1)))
     proof = None
     if reduce and _distributive(p):
-        down, rank = _down_sets(p), [0] * n
-        for r, x in enumerate(order):
-            rank[x] = r
+        down = _table(p, "down")
 
-        def expand(t, reads, failing):
-            row, d, fiber = raw[t], down[t], _fibers(meet[t])
-            classes = [(a, b) for i, a in enumerate(d) for b in d[i:]]
+        def expand(key, reads, failing):
+            (t,) = key
+            row, fiber, (pair_class, _) = raw[t], _fibers(meet[t]), _pairs(down[t], 0)
             # a class (a, a) compares a sum with itself and never fails, so
             # a != b, and each pair from the two fibers is one instance
-            for a, b in map(classes.__getitem__, failing):
-                lhs, rhs = row[join[a][b]] + row[meet[a][b]], row[a] + row[b]
+            for a, b in map(pair_class, failing):
+                lhs, rhs = map(next, sides(row, (a, b), 1))
                 for x, y in product(fiber[a], fiber[b]):
-                    yield (t, x, y) if rank[x] < rank[y] else (t, y, x), lhs, rhs
-        proof = _pair_classes(join, meet, down), _diamond_exact(raw, meet), expand
-    return _kernel(rule, tol, p, raw, ((t, (t,), len(xs)) for t in contexts), block,
-                   instance, proof=proof)
+                    yield (t, x, y) if p._at[x] < p._at[y] else (t, y, x), lhs, rhs
+        proof = block(down.__getitem__, 0), _diamond_exact(raw, meet), expand
+    return _kernel(rule, tol, p, raw, (((t,), (t,), size) for t in contexts),
+                   block(lambda t: ids, 1), instance, proof=proof)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -502,7 +506,7 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
     # meet lands, which makes it diamond-exact; every meet with y is below
     # y, so no entry comes from an earlier row's quotients
     quotient = [None] * len(p)
-    for t, (vy, meets, below) in enumerate(zip(values, _table(p), _down_sets(p))):
+    for t, (vy, meets, below) in enumerate(zip(values, _table(p, "meet"), _table(p, "down"))):
         if vy > 0:
             for m in below:
                 quotient[m] = values[m] / vy
@@ -512,19 +516,17 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
-    p, down = w.poset, _down_sets(w.poset)
+    p, down = w.poset, _table(w.poset, "down")
     blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
     return _kernel("chain", tol, p, w._rows, blocks, *_chain_rule(down, w._rows))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
-    p, raw = w.poset, w._rows
-    meet = _table(p)
-    at_meet = [_gather(row) for row in meet]
+    p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
     n = len(p)
     return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
-                   lambda rows, scale, x: (rows[x], at_meet[x](rows[x]), scale[x]),
+                   lambda rows, scale, x: (rows[x], map(rows[x].__getitem__, meet[x]), scale[x]),
                    lambda x, y: ((x, y), raw[x][y], raw[x][meet[x][y]]))
 
 
@@ -539,20 +541,18 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
     So a failing chain instance z' fails each instance (x, y, z) with
     z ^ y' = z', with the chain instance's sides.
     """
-    p, raw = w.poset, w._rows
-    meet = _table(p)
-    at_meet = [_gather(row) for row in meet]
+    p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
 
     def block(rows, scale, key):  # z runs over all elements
         x, y = key
         xy = meet[x][y]
-        return (_times(at_meet[y](rows[x]), scale[xy]),
+        return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
 
     def instance(key, z):
         x, y = key
         return (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
-    chain_block, chain_instance = _chain_rule(_down_sets(p), raw)
+    chain_block, chain_instance = _chain_rule(_table(p, "down"), raw)
     fibers = {}  # y' -> the positions z grouped by z ^ y'
 
     def expand(key, reads, failing):

@@ -7,10 +7,13 @@ Fractions and mixtures, with zero-weight atoms, holes and perturbations.
 The golden files hold ``ordinal rules audit`` output made by those loops;
 ``b4-mixed`` was made by the kernel that chose its arithmetic per table.
 """
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,19 +265,24 @@ def test_reduced_audits_match_reference_loops(case):
 def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
     lat = REDUCED_LATTICES[name]
     assert valuation._distributive(lat) == (name in DISTRIBUTIVE)
-    tested, pair_classes = [], valuation._pair_classes
+    handed, tested, kernel = [], [], valuation._kernel
 
-    def spy(*tables):
-        block = pair_classes(*tables)
-        return lambda rows, scale, key: tested.append(key) or block(rows, scale, key)
-    monkeypatch.setattr(valuation, "_pair_classes", spy)
+    def spy(*args, proof=None, **options):
+        handed.append(proof is not None)
+        if proof:
+            stand_in, sound, expand = proof
+            proof = (lambda rows, scale, key: tested.append(key) or stand_in(rows, scale, key),
+                     sound, expand)
+        return kernel(*args, proof=proof, **options)
+    monkeypatch.setattr(valuation, "_kernel", spy)
     v = irreducible_sums(lat, range(1, len(lat.join_irreducibles()) + 1))
     w = bivaluation_from_valuation(v, validate=False)
     assert_same_report(check_bivaluation_sum_rule(w, 0),
                        ref.check_bivaluation_sum_rule(w, 0))
-    # every row with a context is diamond-exact, so on a distributive
-    # lattice each one is tested on its pair classes, and on no other
+    # only a distributive lattice gets a stand-in, and every row with a
+    # context is diamond-exact, so each one is tested on its pair classes
     contexts = [(t,) for t, row in enumerate(w._rows) if row is not None]
+    assert handed == [name in DISTRIBUTIVE]
     assert sorted(tested) == (contexts if name in DISTRIBUTIVE else [])
 
 
@@ -289,7 +297,7 @@ def test_failing_stand_ins_decide_diamond_exact_rows(monkeypatch, name, change):
     w = bivaluation_from_valuation(v, validate=False)
     if change == "changed quotient":
         w = changed_quotient(w, len(lat) - 1, lat._pos[middle], 0.5)
-    assert all(valuation._diamond_exact(w._rows, valuation._table(lat))[1:])
+    assert all(valuation._diamond_exact(w._rows, valuation._table(lat, "meet"))[1:])
     kernel, ran = valuation._kernel, []
 
     def spy(rule, tol, p, raw, blocks, block, *rest, **options):
@@ -331,7 +339,7 @@ def test_built_rows_share_their_quotients_and_copied_rows_do_not():
     lat = boolean_lattice("abc")
     v = derive_valuation_from_atoms(lat, {"a": 0.1, "b": 0.2, "c": 0.7})
     w = bivaluation_from_valuation(v, validate=False)
-    meet, top = valuation._table(lat), len(lat) - 1
+    meet, top = valuation._table(lat, "meet"), len(lat) - 1
     # the bottom has measure 0 and no row
     assert valuation._diamond_exact(w._rows, meet) == [False] + [True] * top
     copied = BiValuation(lat, {key: fresh(value) for key, value in w.table.items()})
@@ -455,6 +463,69 @@ def test_default_audit_of_b9_counts_every_instance(tmp_path, capsys):
     assert {r["rule"]: (r["checked"], r["skipped"]) for r in reports} == {
         "sum": (130_816, 0), "bisum": (66_846_976, 0), "chain": (261_632, 512),
         "diamond": (261_632, 512), "context": (124_140_032, 10_077_696)}
+
+
+# --- tables and memory ---
+
+def default_audit(v):
+    """The audits a default ``rules audit`` runs, in its order."""
+    w = bivaluation_from_valuation(v, validate=False)
+    return [check_sum_rule(v), *(check(w) for check, _ in BIVALUATION_RULES)]
+
+
+def test_tables_are_built_once_per_lattice(tmp_path, monkeypatch, capsys):
+    built, build = [], valuation._build_table
+
+    def spy(p, kind):
+        built.append((kind, id(p), weakref.ref(p)))
+        return build(p, kind)
+    monkeypatch.setattr(valuation, "_build_table", spy)
+    atoms = "abcd"
+    weights = {a: k for k, a in enumerate(atoms, 1)}
+    (tmp_path / "b4.json").write_text(json.dumps(boolean_lattice(atoms).to_dict()))
+    (tmp_path / "w4.json").write_text(json.dumps(weights))
+    assert run(["rules", "audit", "--poset", str(tmp_path / "b4.json"),
+                "--atoms", str(tmp_path / "w4.json")]) == 0
+    capsys.readouterr()
+    # one meet table, one join table and one down-set list, all of the
+    # run's one poset, which is gone with the run
+    assert sorted(kind for kind, _, _ in built) == ["down", "join", "meet"]
+    assert len({p for _, p, _ in built}) == 1
+    gc.collect()
+    assert all(ref() is None for _, _, ref in built)
+
+    built.clear()
+    lat = boolean_lattice(atoms)
+    v = derive_valuation_from_atoms(lat, weights)
+    first = default_audit(v)
+    assert sorted(kind for kind, _, _ in built) == ["down", "join", "meet"]
+    built.clear()
+    # a second audit of the same poset builds none, and gets the same reports
+    assert [r.to_dict() for r in default_audit(v)] == [r.to_dict() for r in first]
+    assert built == []
+    # no cache outside the poset keeps it alive
+    poset = weakref.ref(lat)
+    del lat, v
+    gc.collect()
+    assert poset() is None
+
+
+def test_sum_rule_audit_holds_no_array_of_pairs():
+    # the audit streams each element's pairs, so at B9 its peak is the two
+    # tables it builds and the 130,816 differences, with no array of every
+    # pair and its join and meet
+    atoms = "abcdefghi"
+    lat = boolean_lattice(atoms)
+    v = derive_valuation_from_atoms(lat, {a: k for k, a in enumerate(atoms, 1)})
+    lat.is_lattice()  # the certificate is the poset's, not the audit's
+    tracemalloc.start()
+    try:
+        report = check_sum_rule(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 130_816
+    assert peak < 12 * 2 ** 20
 
 
 def test_rules_audit_does_not_depend_on_the_hash_seed(tmp_path):

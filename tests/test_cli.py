@@ -210,6 +210,34 @@ def test_rules_audit_needs_inputs(capsys):
     assert code == 2 and "rules audit needs" in err
 
 
+HUGE = 10 ** 400  # 401 digits, beyond the largest float
+
+
+def audit_huge_values(tmp_path, capsys, atoms, values, *argv):
+    poset_path = tmp_path / "lat.json"
+    poset_path.write_text(json.dumps(boolean_lattice(atoms).to_dict()))
+    values_path = tmp_path / "values.json"
+    values_path.write_text(json.dumps(values))
+    return invoke(capsys, "rules", "audit", "--poset", str(poset_path),
+                  "--values", str(values_path), *argv)
+
+
+def test_an_int_too_large_to_divide_into_a_float_is_an_input_error(tmp_path, capsys):
+    # the bi-valuation divides 10**400 by 1, and the quotient is a float
+    code, out, err = audit_huge_values(tmp_path, capsys, "a", {"{}": HUGE, "{a}": 1})
+    assert code == 2 and out == ""
+    assert err == "ordinal: error: integer division result too large for a float\n"
+
+
+def test_an_int_too_large_to_add_to_a_float_is_an_input_error(tmp_path, capsys):
+    # the sum rule adds 10**400 to a float in the row that holds 0.5
+    code, out, err = audit_huge_values(
+        tmp_path, capsys, "ab", {"{}": 0, "{a}": HUGE, "{b}": 0.5, "{a,b}": HUGE},
+        "--rules", "sum")
+    assert code == 2 and out == ""
+    assert err == "ordinal: error: int too large to convert to float\n"
+
+
 # --- info ---
 
 def test_info_entropy(tmp_path, capsys):
