@@ -8,6 +8,9 @@ import sys
 from . import __version__
 from .errors import NotQuantifiable, NotSynchronized, OrdinalError
 
+# COMMANDS, at the end of this module, is the one declaration of each command:
+# its handler, its help and its flags. build_parser adds the commands of only
+# the group that a run names, and run dispatches from the same table.
 # Each command imports the modules it uses when it runs, and the tables below
 # name their functions as "module:function", resolved when dispatched, so a
 # run never compiles the modules of the commands it does not run.
@@ -42,73 +45,27 @@ def _resolve(ref: str):
     return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every group, with the commands of only the group that
+    argv names: the top-level help and its errors list each group, and a
+    run parses one. Top-level flags take no value, so the first argument
+    that names a group is the group."""
     parser = argparse.ArgumentParser(prog="ordinal",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
-
-    def io_flags(sub):
-        sub.add_argument("--format", choices=("json", "text"), default="json")
-        sub.add_argument("--output", default=None, help="write here instead of stdout")
-
-    poset = top.add_parser("poset", help="build, validate, and export posets")
-    poset_sub = poset.add_subparsers(dest="command", required=True)
-    check = poset_sub.add_parser("check", help="validate and certify a poset file")
-    check.add_argument("--input", required=True)
-    io_flags(check)
-    dot = poset_sub.add_parser("export-dot", help="emit a DOT cover diagram")
-    dot.add_argument("--input", required=True)
-    dot.add_argument("--output", default=None)
-    gen = poset_sub.add_parser("gen", help="emit a generated poset as JSON")
-    gen.add_argument("kind", choices=tuple(GENERATORS))
-    gen.add_argument("--atoms", default=None, help="comma-separated atom tokens")
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--output", default=None)
-
-    rules = top.add_parser("rules", help="audit valuation constraint rules")
-    rules_sub = rules.add_subparsers(dest="command", required=True)
-    audit = rules_sub.add_parser("audit", help="run rule audits over a valuation")
-    audit.add_argument("--poset", default=None)
-    audit.add_argument("--atoms", default=None, help="atom-weight JSON file")
-    audit.add_argument("--values", default=None, help="total-valuation JSON file")
-    audit.add_argument("--valuation", default=None,
-                       help="self-contained valuation document")
-    audit.add_argument("--rules", default=DEFAULT_RULES)
-    audit.add_argument("--tol", type=float, default=1e-9)
-    io_flags(audit)
-
-    info = top.add_parser("info", help="partition entropy and mutual information")
-    info_sub = info.add_subparsers(dest="command", required=True)
-    entropy = info_sub.add_parser("entropy")
-    entropy.add_argument("--dist", required=True)
-    entropy.add_argument("--partition", required=True)
-    io_flags(entropy)
-    mutual = info_sub.add_parser("mutual")
-    mutual.add_argument("--dist", required=True)
-    mutual.add_argument("--a", required=True)
-    mutual.add_argument("--b", required=True)
-    io_flags(mutual)
-
-    st = top.add_parser("spacetime", help="projections, synchronization, intervals")
-    st_sub = st.add_subparsers(dest="command", required=True)
-    proj = st_sub.add_parser("project")
-    proj.add_argument("--scene", required=True)
-    proj.add_argument("--event", required=True)
-    proj.add_argument("--chain", required=True)
-    io_flags(proj)
-    sync = st_sub.add_parser("sync")
-    sync.add_argument("--scene", required=True)
-    sync.add_argument("--chains", required=True, help="two chain ids, comma-separated")
-    sync.add_argument("--range", required=True, help="lo,hi inclusive index window")
-    io_flags(sync)
-    interval = st_sub.add_parser("interval")
-    interval.add_argument("--scene", required=True)
-    interval.add_argument("--events", required=True, help="two event ids")
-    interval.add_argument("--frames", default=None, help="frame ids from the scene")
-    interval.add_argument("--chains", default=None, help="two chain ids")
-    io_flags(interval)
-
+    named = next((a for a in argv if a in GROUPS), None)
+    for group, text in GROUPS.items():
+        sub = top.add_parser(group, help=text)
+        if group != named:
+            continue
+        commands = sub.add_subparsers(dest="command", required=True)
+        for (in_group, name), (_, text, flags) in COMMANDS.items():
+            if in_group == group:
+                # a command given no help is not listed in its group's help
+                command = commands.add_parser(name, **({"help": text} if text else {}))
+                for flag, options in flags:
+                    command.add_argument(flag, **options)
     return parser
 
 
@@ -341,27 +298,61 @@ def _cmd_st_interval(args) -> int:
     return code
 
 
+GROUPS = {
+    "poset": "build, validate, and export posets",
+    "rules": "audit valuation constraint rules",
+    "info": "partition entropy and mutual information",
+    "spacetime": "projections, synchronization, intervals",
+}
+
+NEEDED = dict(required=True)
+# the flags of every command that writes a report
+REPORT = (("--format", dict(choices=("json", "text"), default="json")),
+          ("--output", dict(help="write here instead of stdout")))
+
+# (group, command) -> (handler, help or None, flags as (name, add_argument
+# options)), in the order the help lists them
 COMMANDS = {
-    ("poset", "check"): _cmd_poset_check,
-    ("poset", "export-dot"): _cmd_poset_dot,
-    ("poset", "gen"): _cmd_poset_gen,
-    ("rules", "audit"): _cmd_rules_audit,
-    ("info", "entropy"): _cmd_info_entropy,
-    ("info", "mutual"): _cmd_info_mutual,
-    ("spacetime", "project"): _cmd_st_project,
-    ("spacetime", "sync"): _cmd_st_sync,
-    ("spacetime", "interval"): _cmd_st_interval,
+    ("poset", "check"): (_cmd_poset_check, "validate and certify a poset file",
+                         [("--input", NEEDED), *REPORT]),
+    ("poset", "export-dot"): (_cmd_poset_dot, "emit a DOT cover diagram",
+                              [("--input", NEEDED), ("--output", {})]),
+    ("poset", "gen"): (_cmd_poset_gen, "emit a generated poset as JSON",
+                       [("kind", dict(choices=tuple(GENERATORS))),
+                        ("--atoms", dict(help="comma-separated atom tokens")),
+                        ("--n", dict(type=int)), ("--output", {})]),
+    ("rules", "audit"): (_cmd_rules_audit, "run rule audits over a valuation",
+                         [("--poset", {}), ("--atoms", dict(help="atom-weight JSON file")),
+                          ("--values", dict(help="total-valuation JSON file")),
+                          ("--valuation", dict(help="self-contained valuation document")),
+                          ("--rules", dict(default=DEFAULT_RULES)),
+                          ("--tol", dict(type=float, default=1e-9)), *REPORT]),
+    ("info", "entropy"): (_cmd_info_entropy, None,
+                          [("--dist", NEEDED), ("--partition", NEEDED), *REPORT]),
+    ("info", "mutual"): (_cmd_info_mutual, None,
+                         [("--dist", NEEDED), ("--a", NEEDED), ("--b", NEEDED), *REPORT]),
+    ("spacetime", "project"): (_cmd_st_project, None,
+                               [("--scene", NEEDED), ("--event", NEEDED),
+                                ("--chain", NEEDED), *REPORT]),
+    ("spacetime", "sync"): (_cmd_st_sync, None, [
+        ("--scene", NEEDED),
+        ("--chains", dict(required=True, help="two chain ids, comma-separated")),
+        ("--range", dict(required=True, help="lo,hi inclusive index window")), *REPORT]),
+    ("spacetime", "interval"): (_cmd_st_interval, None,
+                                [("--scene", NEEDED),
+                                 ("--events", dict(required=True, help="two event ids")),
+                                 ("--frames", dict(help="frame ids from the scene")),
+                                 ("--chains", dict(help="two chain ids")), *REPORT]),
 }
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return COMMANDS[(args.group, args.command)](args)
+        return COMMANDS[(args.group, args.command)][0](args)
     # ValueError: a rejected argument; ArithmeticError: a value that overflows,
     # such as an int too large for a float
     except (OrdinalError, OSError, ValueError, ArithmeticError) as exc:

@@ -16,17 +16,21 @@ class Partition(Record):
         set_field(self, "blocks", blocks)
         if not blocks:
             raise ValueError("partition needs at least one block")
-        total = 0
-        for block in blocks:
-            if not block:
-                raise ValueError("empty block in partition")
-            total += len(block)
-        if total != len(self.ground_set()):
+        if not all(blocks):
+            raise ValueError("empty block in partition")
+        if sum(map(len, blocks)) != len(frozenset().union(*blocks)):
             raise ValueError("blocks overlap")
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "Partition":
-        return cls(frozenset(frozenset(b) for b in blocks))
+        """The partition into these blocks; an atom given twice, in one block
+        or in two, is an error, not merged away."""
+        blocks = [tuple(b) for b in blocks]
+        atoms = [a for b in blocks for a in b]
+        if len(set(atoms)) != len(atoms):
+            repeated = next(a for k, a in enumerate(atoms) if a in atoms[:k])
+            raise ValueError(f"partition repeats atom {repeated!r}")
+        return cls(frozenset(map(frozenset, blocks)))
 
     def ground_set(self) -> frozenset[str]:
         return frozenset(a for block in self.blocks for a in block)
@@ -91,7 +95,7 @@ class Partition(Record):
                 meet = a & b
                 if meet:
                     blocks.append(meet)
-        return Partition.from_blocks(blocks)
+        return Partition(frozenset(blocks))
 
 
 def all_partitions(ground: Iterable[str]) -> Iterator[Partition]:
@@ -109,5 +113,5 @@ def all_partitions(ground: Iterable[str]) -> Iterator[Partition]:
             yield from grow(rest, blocks[:i] + [blocks[i] + [head]] + blocks[i + 1:])
         yield from grow(rest, blocks + [[head]])
 
-    for blocks in grow(atoms[1:], [[atoms[0]]]):
-        yield Partition.from_blocks(blocks)
+    for blocks in grow(atoms[1:], [[atoms[0]]]):  # each atom in one block
+        yield Partition(frozenset(map(frozenset, blocks)))

@@ -404,13 +404,15 @@ def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
-    """Audit x <= y  =>  v(x) <= v(y)."""
-    pairs = [(i, j) for j, down in enumerate(v.poset._down_t) for i in _bits(down) if i != j]
-    at_lower, at_upper = (_gather([pair[end] for pair in pairs]) for end in (0, 1))
+    """Audit x <= y  =>  v(x) <= v(y): one block per y, over the elements of
+    y's shared down-set but y, its last entry."""
+    down = _table(v.poset, "down")
     row = _valuation_row(v)
-    return _kernel("monotone", tol, v.poset, [row], [(0, (0,), len(pairs))],
-                   lambda rows, scale, t: (at_lower(rows[t]), at_upper(rows[t]), scale[t]),
-                   lambda _, k: (pairs[k], row[pairs[k][0]], row[pairs[k][1]]), signed=True)
+    return _kernel("monotone", tol, v.poset, [row],
+                   ((y, (0,), len(d) - 1) for y, d in enumerate(down)),
+                   lambda rows, scale, y: (map(rows[0].__getitem__, down[y][:-1]),
+                                           repeat(rows[0][y]), scale[0]),
+                   lambda y, k: ((down[y][k], y), row[down[y][k]], row[y]), signed=True)
 
 
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,

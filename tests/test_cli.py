@@ -1,4 +1,6 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,10 @@ def test_poset_check_non_lattice_reports_witness(tmp_path, capsys):
                           "--format", "json")
     assert code == 1
     assert json.loads(out)["certificate"]["witness"] == ["p", "q"]
+    code, out, _ = invoke(capsys, "poset", "check", "--input", str(path),
+                          "--format", "text")
+    assert code == 1
+    assert out.splitlines() == ["elements: 4", "covers: 4", "lattice: no", "witness: p, q"]
 
 
 def test_poset_check_rejects_cyclic_input(tmp_path, capsys):
@@ -329,6 +335,13 @@ def test_spacetime_interval_desynchronized_frame(scene_path, capsys):
                           "--format", "json")
     assert code == 1
     assert "error" in json.loads(out)["rows"][0]
+    code, out, _ = invoke(capsys, "spacetime", "interval", "--scene", scene_path,
+                          "--events", "e1,e2", "--frames", "rest,desync",
+                          "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2].split()[:2] == ["desync", "error:"]
+    assert lines[-1] == "invariant: no"
 
 
 def test_spacetime_interval_window_clipped_to_one_index(tmp_path, capsys):
@@ -496,6 +509,15 @@ USAGE_ERRORS = {
     "audit of a poset without weights": (
         ["rules", "audit", "--poset", "lat.json"],
         "rules audit needs --atoms or --values alongside --poset"),
+    "atom weights for an atom the lattice lacks": (
+        ["rules", "audit", "--poset", "b3.json", "--atoms", "abd.json"],
+        "element '{a,b,c}' uses atoms outside the weight map"),
+    "atom weights on a chain": (
+        ["rules", "audit", "--poset", "chain.json", "--atoms", "atoms.json"],
+        "'p' is not a subset id"),
+    "a partition literal that repeats an atom": (
+        ["info", "entropy", "--dist", "dist.json", "--partition", "a|b|a"],
+        "partition repeats atom 'a'"),
 }
 
 
@@ -503,9 +525,73 @@ USAGE_ERRORS = {
 def test_usage_error_prints_one_exact_line(tmp_path, monkeypatch, capsys, case):
     argv, message = USAGE_ERRORS[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "scene.json").write_text(json.dumps(BOOST_SCENE))
+    for name, doc in [("scene.json", BOOST_SCENE),
+                      ("b3.json", boolean_lattice("abc").to_dict()),
+                      ("abd.json", {"a": 1, "b": 2, "d": 3}),
+                      ("chain.json", {"elements": ["p", "q", "r", "s"],
+                                      "covers": [["p", "q"], ["q", "r"], ["r", "s"]]}),
+                      ("dist.json", {"probs": {"a": 0.5, "b": 0.5}})]:
+        (tmp_path / name).write_text(json.dumps(doc))
     write_audit_inputs(tmp_path, {"a": 1.0, "b": 2.0})
     assert invoke(capsys, *argv) == (2, "", f"ordinal: error: {message}\n")
+
+
+# --- help and argparse's usage errors, byte for byte ---
+
+HELP_GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+# case -> argv and exit code. A case that exits 0 prints golden/cli/<case>.out
+# to stdout and nothing to stderr; one that exits 2 prints <case>.err to
+# stderr and nothing to stdout. The files hold what argparse printed at 80
+# columns before build_parser built one group's commands per run.
+HELP_CASES = {
+    "help": (["-h"], 0),
+    "no-arguments": ([], 2),
+    **{f"{group}-help": ([group, "-h"], 0)
+       for group in ("poset", "rules", "info", "spacetime")},
+    **{f"{group}-{command}-help": ([group, command, "-h"], 0)
+       for group, command in [("poset", "check"), ("poset", "export-dot"), ("poset", "gen"),
+                              ("rules", "audit"), ("info", "entropy"), ("info", "mutual"),
+                              ("spacetime", "project"), ("spacetime", "sync"),
+                              ("spacetime", "interval")]},
+    "unknown-group": (["nonsense"], 2),
+    "unknown-command": (["poset", "nonsense"], 2),
+    "group-without-command": (["rules"], 2),
+    "check-without-input": (["poset", "check"], 2),
+    "format-xml": (["poset", "check", "--input", "x.json", "--format", "xml"], 2),
+    "tol-x": (["rules", "audit", "--tol", "x"], 2),
+    # the group is the first argument that names one, not argv[0]
+    "unknown-option-before-group": (["--foo", "poset", "check"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELP_CASES))
+def test_help_and_usage_errors_match_golden(monkeypatch, capsys, case):
+    argv, code = HELP_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = (HELP_GOLDEN / f"{case}.{'out' if code == 0 else 'err'}").read_text()
+    expected = (printed, "") if code == 0 else ("", printed)
+    assert invoke(capsys, *argv) == (code, *expected)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["--version"], []),
+    (["poset", "gen", "boolean", "--atoms", "a"], ["check", "export-dot", "gen"]),
+    (["rules", "-h"], ["audit"]),
+    (["info", "-h"], ["entropy", "mutual"]),
+    (["spacetime", "-h"], ["project", "sync", "interval"]),
+], ids=["version", "poset", "rules", "info", "spacetime"])
+def test_a_run_builds_only_the_commands_of_its_group(monkeypatch, capsys, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **options):
+        names.append(name)
+        return add_parser(self, name, **options)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    run(argv)
+    groups = ["poset", "rules", "info", "spacetime"]
+    assert names == [n for g in groups for n in [g] + (built if g == argv[0] else [])]
 
 
 # --- harness behavior ---

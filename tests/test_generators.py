@@ -60,6 +60,12 @@ def test_subset_ids_round_trip(atoms):
         assert subset_id(parse_subset_id(element)) == element
 
 
+@pytest.mark.parametrize("text", ["a", "{a", "{a,,b}", "{,}"])
+def test_a_malformed_subset_id_is_rejected(text):
+    with pytest.raises(ValueError, match="is not a subset id"):
+        parse_subset_id(text)
+
+
 @pytest.mark.parametrize("atoms, bad", [(["a", "b", "a,b"], "a,b"), (["", "a"], "")])
 def test_boolean_lattice_rejects_ambiguous_atoms(atoms, bad):
     with pytest.raises(ValueError, match=f"^boolean atom {bad!r} must be non-empty"):

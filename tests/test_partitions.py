@@ -30,6 +30,16 @@ def test_parse_rejects_empty_blocks():
 def test_overlapping_blocks_rejected():
     with pytest.raises(ValueError):
         Partition.from_blocks([["a", "b"], ["b"]])
+    with pytest.raises(ValueError, match="blocks overlap"):
+        Partition(frozenset([frozenset("ab"), frozenset("b")]))
+    # a repeated atom or block is an error before the blocks become sets
+    for blocks, atom in [([["a", "a"], ["b"]], "a"), ([["a", "b"], ["a", "b"]], "a"),
+                         ([["a"], ["b"], ["b"]], "b")]:
+        with pytest.raises(ValueError, match=f"partition repeats atom '{atom}'"):
+            Partition.from_blocks(blocks)
+    for text, atom in [("a|b|a", "a"), ("ab|ab", "a"), ("aa|b", "a"), ("b|[a1,a1]", "a1")]:
+        with pytest.raises(ValueError, match=f"partition repeats atom '{atom}'"):
+            Partition.parse(text)
 
 
 def test_empty_block_rejected():
@@ -49,6 +59,14 @@ def test_refinement():
 def test_refinement_needs_shared_ground():
     with pytest.raises(GroundSetMismatch):
         Partition.parse("a|b").refines(Partition.parse("a|c"))
+    with pytest.raises(GroundSetMismatch):
+        Partition.parse("a|b").common_refinement(Partition.parse("a|c"))
+
+
+def test_block_of_an_unknown_atom():
+    assert Partition.parse("ab|c").block_of("b") == frozenset("ab")
+    with pytest.raises(KeyError):
+        Partition.parse("ab|c").block_of("d")
 
 
 def test_common_refinement_of_crossing_partitions():
@@ -77,6 +95,11 @@ def test_all_partitions_counts():
 def test_all_partitions_distinct():
     parts = list(all_partitions("abcd"))
     assert len(set(parts)) == len(parts)
+
+
+def test_all_partitions_needs_an_atom():
+    with pytest.raises(ValueError, match="ground set is empty"):
+        next(all_partitions([]))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6))

@@ -414,6 +414,14 @@ def test_chain_elements_are_totally_ordered():
             assert causal_leq(c.event(i), c.event(j)) == (i <= j)
 
 
+def test_chain_event_outside_its_range():
+    c = rest_chain(0, rng=(-2, 3))
+    assert c.event(-2) == Event(-2, 0) and c.event(3) == Event(3, 0)
+    for i in (-3, 4):
+        with pytest.raises(ValueError, match=f"index {i} outside declared range"):
+            c.event(i)
+
+
 def test_chain_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ObserverChain(origin=Event(0, 0), k=0)

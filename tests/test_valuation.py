@@ -47,6 +47,8 @@ def test_valuation_must_be_total(b3):
 def test_valuation_unknown_element(vb3):
     with pytest.raises(UnknownElement):
         vb3("{z}")
+    with pytest.raises(UnknownElement):
+        vb3.replace("{z}", 1.0)
 
 
 def test_derived_values_match_summation_oracle(b3, vb3):
@@ -143,6 +145,15 @@ def test_independent_weights_on_product_of_diamonds():
     vpq = Valuation(prod, {pair_id(x, y): vp(x) * vq(y)
                            for x in b1.elements for y in b1c.elements})
     assert check_product_rule_for_lattice_product(vp, vq, vpq, tol=1e-9).passed
+
+
+def test_product_valuation_must_hold_every_pair():
+    c2 = chain_poset(["0", "1"])
+    v = Valuation(c2, {"0": 0, "1": 1})
+    # four elements, as |P| * |Q| asks, but none of them a pair id
+    vpq = Valuation(chain_poset("wxyz"), dict(zip("wxyz", range(4))))
+    with pytest.raises(LatticeMismatch, match="product lattice lacks element"):
+        check_product_rule_for_lattice_product(v, v, vpq)
 
 
 def test_perturbed_product_valuation_flagged_once():
@@ -269,6 +280,21 @@ def test_bivaluation_of_b9_stays_small():
         tracemalloc.stop()
     assert len(w.contexts()) == len(lat) - 1
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_monotone_audit_of_b10_reads_the_shared_down_sets():
+    # one block per y peaks at about 1.6 MB here; a list of all 3**10 - 2**10
+    # comparable pairs and two gathers over it peaked at 8.4 MB
+    lat = boolean_lattice("abcdefghij")
+    v = derive_valuation_from_atoms(lat, {a: i for i, a in enumerate("abcdefghij", 1)})
+    tracemalloc.start()
+    try:
+        report = check_monotone(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 3 ** 10 - 2 ** 10
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 # --- chain rule ---
