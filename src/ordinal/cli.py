@@ -50,8 +50,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     argv names: the top-level help and its errors list each group, and a
     run parses one. Top-level flags take no value, so the first argument
     that names a group is the group."""
-    parser = argparse.ArgumentParser(prog="ordinal",
-                                     description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="ordinal", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
     named = next((a for a in argv if a in GROUPS), None)
@@ -62,8 +61,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         commands = sub.add_subparsers(dest="command", required=True)
         for (in_group, name), (_, text, flags) in COMMANDS.items():
             if in_group == group:
-                # a command given no help is not listed in its group's help
-                command = commands.add_parser(name, **({"help": text} if text else {}))
+                command = commands.add_parser(name, help=text)
                 for flag, options in flags:
                     command.add_argument(flag, **options)
     return parser
@@ -306,39 +304,39 @@ GROUPS = {
 }
 
 NEEDED = dict(required=True)
+OUTPUT = ("--output", dict(help="write here instead of stdout"))
 # the flags of every command that writes a report
-REPORT = (("--format", dict(choices=("json", "text"), default="json")),
-          ("--output", dict(help="write here instead of stdout")))
+REPORT = (("--format", dict(choices=("json", "text"), default="json")), OUTPUT)
 
-# (group, command) -> (handler, help or None, flags as (name, add_argument
-# options)), in the order the help lists them
+# (group, command) -> (handler, help, flags as (name, add_argument options)),
+# in the order the help lists them
 COMMANDS = {
     ("poset", "check"): (_cmd_poset_check, "validate and certify a poset file",
                          [("--input", NEEDED), *REPORT]),
     ("poset", "export-dot"): (_cmd_poset_dot, "emit a DOT cover diagram",
-                              [("--input", NEEDED), ("--output", {})]),
+                              [("--input", NEEDED), OUTPUT]),
     ("poset", "gen"): (_cmd_poset_gen, "emit a generated poset as JSON",
                        [("kind", dict(choices=tuple(GENERATORS))),
                         ("--atoms", dict(help="comma-separated atom tokens")),
-                        ("--n", dict(type=int)), ("--output", {})]),
+                        ("--n", dict(type=int)), OUTPUT]),
     ("rules", "audit"): (_cmd_rules_audit, "run rule audits over a valuation",
                          [("--poset", {}), ("--atoms", dict(help="atom-weight JSON file")),
                           ("--values", dict(help="total-valuation JSON file")),
                           ("--valuation", dict(help="self-contained valuation document")),
                           ("--rules", dict(default=DEFAULT_RULES)),
                           ("--tol", dict(type=float, default=1e-9)), *REPORT]),
-    ("info", "entropy"): (_cmd_info_entropy, None,
+    ("info", "entropy"): (_cmd_info_entropy, "entropy of a partition, in bits",
                           [("--dist", NEEDED), ("--partition", NEEDED), *REPORT]),
-    ("info", "mutual"): (_cmd_info_mutual, None,
+    ("info", "mutual"): (_cmd_info_mutual, "mutual information of two partitions",
                          [("--dist", NEEDED), ("--a", NEEDED), ("--b", NEEDED), *REPORT]),
-    ("spacetime", "project"): (_cmd_st_project, None,
+    ("spacetime", "project"): (_cmd_st_project, "project an event onto a chain",
                                [("--scene", NEEDED), ("--event", NEEDED),
                                 ("--chain", NEEDED), *REPORT]),
-    ("spacetime", "sync"): (_cmd_st_sync, None, [
+    ("spacetime", "sync"): (_cmd_st_sync, "check two chains over an index window", [
         ("--scene", NEEDED),
         ("--chains", dict(required=True, help="two chain ids, comma-separated")),
         ("--range", dict(required=True, help="lo,hi inclusive index window")), *REPORT]),
-    ("spacetime", "interval"): (_cmd_st_interval, None,
+    ("spacetime", "interval"): (_cmd_st_interval, "interval of two events in each frame",
                                 [("--scene", NEEDED),
                                  ("--events", dict(required=True, help="two event ids")),
                                  ("--frames", dict(help="frame ids from the scene")),

@@ -63,6 +63,25 @@ copied, changed, holed or empty, and bisum on a lattice that is not
 distributive) runs on the kernel, and only the instances that violate
 have their sides computed, on the raw values, with the block's own
 operations.
+
+Most audits need not run at all. A bi-valuation that
+``bivaluation_from_valuation`` builds keeps its source's values, and its
+rules are identities of w(x | t) = v(x ^ t) / v(t): the chain and context
+rules multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads one
+quotient on both sides, and the per-context sum rule is v's sum rule over
+v(t). v keeps its sum rule on a distributive lattice when v(x) is v(bottom)
+plus v(j) - v(j-) for each join-irreducible j <= x, which ``_modular``
+checks exactly in O(n |J|). So no instance can violate when every quotient
+is exact, or when they are floats and the tolerance is at least an a-priori
+bound on their rounding, 2**-49 max |v| / min {v(t) > 0} (``_proved``); a
+float row at tolerance 0 always runs on the kernel. The sum rule of exact
+values that ``_modular`` proves, and the monotone audit of values that
+do not fall along any cover, are proved the same way. A proved audit
+evaluates no instance: it walks the kernel's blocks and counts each as
+checked or skipped by the kernel's empty-row rule, so its report is the
+kernel's, with no violation. ``_put`` and ``with_value`` drop the source,
+and a bi-valuation built from a table has none, so a changed row always
+runs on the kernel, and every violation comes from the kernel.
 """
 from __future__ import annotations
 
@@ -156,6 +175,27 @@ def require_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
+def _empty(raw) -> set[int]:
+    """The context rows with no defined value, None rows included."""
+    return {t for t, row in enumerate(raw) if all(map(is_, row or (), repeat(_UNDEFINED)))}
+
+
+def _counted(rule, tol, raw, blocks) -> RuleReport:
+    """The report _kernel gives when no instance violates, with no instance
+    evaluated: the caller has proved that none does and that no row holds
+    a hole. It walks the kernel's ``blocks`` and, by the kernel's rule,
+    skips each block that is empty or reads an empty row, and counts every
+    other block's instances as checked."""
+    require_tolerance(tol)
+    empty, checked, skipped = _empty(raw), 0, 0
+    for _, reads, size in blocks:
+        if size and empty.isdisjoint(reads):
+            checked += size
+        else:
+            skipped += size
+    return build_report(rule, checked, tol, [], skipped)
+
+
 def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
             proof=None) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
@@ -186,12 +226,10 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
-    rows, scale, empty, inexact = [], [], set(), set()
+    rows, scale, empty, inexact = [], [], _empty(raw), set()
     for t, row in enumerate(raw):
         row = row or ()
         types = set(map(type, row))
-        if types <= {type(_UNDEFINED)}:
-            empty.add(t)
         if types <= _EXACT:
             s = math.lcm(*(e.denominator for e in row if e is not _UNDEFINED))
             rows.append([e if e is _UNDEFINED else e.numerator * (s // e.denominator)
@@ -304,6 +342,43 @@ def _distributive(p: Poset) -> bool:
     return all(c.by_extent.keys() >= {e | f for f in j_exts} for e in c.extent)
 
 
+def _quotient_kind(values) -> str | None:
+    """How the quotients v(m) / v(t), v(t) > 0, that
+    bivaluation_from_valuation divides v's values into compute: "exact"
+    when each is a Fraction, so the kernel tests them in integers; "float"
+    when each is a correctly rounded float, as int / int is, and so is a
+    float division of operands that convert exactly; None for anything
+    else, holes and bools included, and Fractions beside an int v(t) > 0,
+    which would mix the two."""
+    types = set(map(type, values))
+    if types <= _EXACT and type(_UNDEFINED) not in types:
+        if not any(type(e) is int and e > 0 for e in values):
+            return "exact"  # each v(t) > 0 is a Fraction, and so is anything over it
+        return "float" if types == {int} else None
+    if types <= {int, float} and all(abs(e) <= 2 ** 53 for e in values if type(e) is int):
+        return "float"
+    return None
+
+
+def _modular(p: Poset, values) -> bool:
+    """Whether v(x) = v(bottom) + the sum of v(j) - v(j-) over the
+    join-irreducibles j <= x, exactly, at every position x; j- is j's one
+    lower cover, whose extent is j's without j. ``values`` has an int, a
+    Fraction or a float at each position, and a float counts as the
+    rational it is. On a distributive lattice, J(x v y) = J(x) | J(y) and
+    J(x ^ y) = J(x) & J(y), so then v(x v y) + v(x ^ y) = v(x) + v(y) for
+    every pair, with no residual (Rota 1971; Geissinger 1973)."""
+    c = p._require_lattice()
+    ratios = [e.as_integer_ratio() for e in values]
+    s = math.lcm(*(d for _, d in ratios))
+    ints = [a * (s // d) for a, d in ratios]
+    steps = [ints[j] - ints[c.by_extent[c.extent[j] ^ 1 << k]]
+             for k, j in enumerate(c.join_irreducibles)]
+    base = ints[c.by_extent[0]] if ints else 0
+    return all(e == base + sum(map(steps.__getitem__, _bits(mask)))
+               for e, mask in zip(ints, c.extent))
+
+
 def _fibers(meets) -> dict[int, list[int]]:
     """The positions x grouped by meets[x], each group in increasing order."""
     fibers = {}
@@ -341,10 +416,12 @@ def _pairs(d, skip):
     return pair, starts[-1]
 
 
-def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleReport:
+def _sum_rule(rule: str, p: Poset, raw, contexts, tol, sound=None,
+              proved=False) -> RuleReport:
     """The sum rule in each context row; instances (x, y) or (t, x, y), ids x < y.
 
-    With ``reduce`` on a distributive lattice, a diamond-exact row t stands
+    A ``proved`` audit is counted, not evaluated. Given ``sound``, the
+    diamond-exact rows of a distributive lattice, a diamond-exact row t stands
     on its pair classes: the instance (t, x, y) reads the very objects of
     class (x ^ t, y ^ t), because row t holds at x v y what it holds at
     (x v y) ^ t = (x ^ t) v (y ^ t), and at x ^ y what it holds at
@@ -353,6 +430,10 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleRepo
     fails each instance with x in the fiber of a (the x with x ^ t = a),
     y in the fiber of b and x != y, with the class's sides.
     """
+    n = len(p)
+    blocks = (((t,), (t,), n * (n - 1) // 2) for t in contexts)
+    if proved:
+        return _counted(rule, tol, raw, blocks)
     join, meet = _table(p, "join"), _table(p, "meet")
 
     def sides(row, d, skip):
@@ -368,13 +449,13 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleRepo
     def block(over, skip):  # block (t,) over the pairs of over(t)
         return lambda rows, scale, key: (*sides(rows[key[0]], over(key[0]), skip), scale[key[0]])
     ids = [p._pos[e] for e in p.elements]
-    pair, size = _pairs(ids, 1)
+    pair, _ = _pairs(ids, 1)
 
     def instance(key, k):
         (t,), (x, y) = key, pair(k)
         return ((x, y) if rule == "sum" else (t, x, y), *map(next, sides(raw[t], (x, y), 1)))
     proof = None
-    if reduce and _distributive(p):
+    if sound is not None:
         down = _table(p, "down")
 
         def expand(key, reads, failing):
@@ -386,9 +467,8 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, reduce=False) -> RuleRepo
                 lhs, rhs = map(next, sides(row, (a, b), 1))
                 for x, y in product(fiber[a], fiber[b]):
                     yield (t, x, y) if p._at[x] < p._at[y] else (t, y, x), lhs, rhs
-        proof = block(down.__getitem__, 0), _diamond_exact(raw, meet), expand
-    return _kernel(rule, tol, p, raw, (((t,), (t,), size) for t in contexts),
-                   block(lambda t: ids, 1), instance, proof=proof)
+        proof = block(down.__getitem__, 0), sound, expand
+    return _kernel(rule, tol, p, raw, blocks, block(lambda t: ids, 1), instance, proof=proof)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -399,17 +479,33 @@ def _valuation_row(v: Valuation) -> list:
 # --- valuations ---
 
 def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
-    """Audit v(x v y) + v(x ^ y) = v(x) + v(y) over all unordered pairs."""
-    return _sum_rule("sum", v.poset, [_valuation_row(v)], [0], tol)
+    """Audit v(x v y) + v(x ^ y) = v(x) + v(y) over all unordered pairs.
+
+    Exact values that _modular proves on a distributive lattice keep the
+    rule with no residual, so they are counted, not evaluated."""
+    p, row = v.poset, _valuation_row(v)
+    types = set(map(type, row))
+    proved = (types <= _EXACT and type(_UNDEFINED) not in types
+              and _distributive(p) and _modular(p, row))
+    return _sum_rule("sum", p, [row], [0], tol, proved=proved)
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     """Audit x <= y  =>  v(x) <= v(y): one block per y, over the elements of
-    y's shared down-set but y, its last entry."""
-    down = _table(v.poset, "down")
-    row = _valuation_row(v)
-    return _kernel("monotone", tol, v.poset, [row],
-                   ((y, (0,), len(d) - 1) for y, d in enumerate(down)),
+    y's shared down-set but y, its last entry.
+
+    If v(a) <= v(b) holds exactly for every cover a -> b, it holds for every
+    comparable pair by transitivity, and the kernel's difference v(x) - v(y)
+    is then at most 0 for any row _quotient_kind names: in integers, or in
+    floats, where rounding is monotone and 0 is representable. So every
+    pair passes at any tolerance, and the audit is counted from the
+    down-set sizes."""
+    p, row = v.poset, _valuation_row(v)
+    blocks = ((y, (0,), mask.bit_count() - 1) for y, mask in enumerate(p._down_t))
+    if _quotient_kind(row) and all(v.values[a] <= v.values[b] for a, b in p.covers):
+        return _counted("monotone", tol, [row], blocks)
+    down = _table(p, "down")
+    return _kernel("monotone", tol, p, [row], blocks,
                    lambda rows, scale, y: (map(rows[0].__getitem__, down[y][:-1]),
                                            repeat(rows[0][y]), scale[0]),
                    lambda y, k: ((down[y][k], y), row[down[y][k]], row[y]), signed=True)
@@ -447,15 +543,20 @@ class BiValuation:
     audit kernel's layout: ``_rows[t][x]`` is w(x | t) or _UNDEFINED, and a
     context with no entry has no row (None). ``table`` builds the (x,
     context)-keyed dict the constructor takes on each access; no audit calls it.
+    ``_source`` holds, by position, the values of the valuation that
+    bivaluation_from_valuation divided into the rows; a bi-valuation built
+    from a table has none, and ``_put`` drops it.
     """
 
     def __init__(self, poset: Poset, table: Mapping[tuple[str, str], Value]):
         self.poset, self._rows = poset, [None] * len(poset)
+        self._source = None
         for (x, context), value in table.items():
             self._put(x, context, value)
 
     def _put(self, x: str, y: str, value: Value) -> None:
         """Set w(x | y) in place, giving context y a row if it has none."""
+        self._source = None
         if x not in self.poset or y not in self.poset:
             raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) is not in the poset")
         t = self.poset._pos[y]
@@ -513,13 +614,51 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
             for m in below:
                 quotient[m] = values[m] / vy
             w._rows[t] = [quotient[m] for m in meets]
+    w._source = values
     return w
+
+
+def _diamond_rows(w: BiValuation) -> list[bool]:
+    """_diamond_exact of w's rows. A row that bivaluation_from_valuation
+    builds is diamond-exact, so derived rows skip the check."""
+    if w._source is not None:
+        return [row is not None for row in w._rows]
+    return _diamond_exact(w._rows, _table(w.poset, "meet"))
+
+
+def _proved(w: BiValuation, tol, modular=False) -> bool:
+    """Whether no instance of w's chain, diamond and context rules, and with
+    ``modular`` of its per-context sum rule, can violate at tol, because
+    w's rows are its source's quotients (module docstring).
+
+    Float quotients are each correctly rounded (_quotient_kind), and with
+    u = 2**-53 and M = max |v| / min {v(t) > 0} >= 1 bounding every
+    quotient, the kernel's operations leave a residual below
+    (1 + u)(4u + O(u**2)) M in fl(q1) - fl(fl(q2) * fl(q3)) where
+    q2 q3 = q1, and below (1 + u)(8u + O(u**2)) M in
+    fl(fl(q1) + fl(q2)) - fl(fl(q3) + fl(q4)) where q1 + q2 = q3 + q4
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 2-3;
+    gradual underflow adds at most 2**-1075 to a rounding). So any
+    tolerance of at least 2**-49 M passes them; M stays at most 2**1000, so
+    no quotient or product overflows."""
+    values = w._source
+    kind = values is not None and _quotient_kind(values)
+    if not kind:
+        return False
+    positive = [e for e in values if e > 0]
+    if kind == "float" and positive:
+        m = Fraction(max(map(abs, values))) / Fraction(min(positive))
+        if not (m <= 2 ** 1000 and tol >= m / 2 ** 49):
+            return False
+    return not modular or _distributive(w.poset) and _modular(w.poset, values)
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
     p, down = w.poset, _table(w.poset, "down")
     blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
+    if _proved(w, tol):
+        return _counted("chain", tol, w._rows, blocks)
     return _kernel("chain", tol, p, w._rows, blocks, *_chain_rule(down, w._rows))
 
 
@@ -527,7 +666,10 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
     p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
     n = len(p)
-    return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
+    blocks = ((x, (x,), n) for x in range(n))
+    if _proved(w, tol):
+        return _counted("diamond", tol, raw, blocks)
+    return _kernel("diamond", tol, p, raw, blocks,
                    lambda rows, scale, x: (rows[x], map(rows[x].__getitem__, meet[x]), scale[x]),
                    lambda x, y: ((x, y), raw[x][y], raw[x][meet[x][y]]))
 
@@ -544,6 +686,10 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
     z ^ y' = z', with the chain instance's sides.
     """
     p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
+    n = len(p)
+    blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
+    if _proved(w, tol):
+        return _counted("context", tol, raw, blocks)
 
     def block(rows, scale, key):  # z runs over all elements
         x, y = key
@@ -565,13 +711,14 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
             (zy, _, _), lhs, rhs = chain_instance(reads, k)  # zy = z ^ y' <= y' <= x
             for z in fibers[xy][zy]:
                 yield (*key, z), lhs, rhs
-    n = len(p)
-    blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
     return _kernel("context", tol, p, raw, blocks, block, instance,
-                   proof=(chain_block, _diamond_exact(raw, meet), expand))
+                   proof=(chain_block, _diamond_rows(w), expand))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y)."""
-    contexts = [t for t, row in enumerate(w._rows) if row is not None]
-    return _sum_rule("bisum", w.poset, w._rows, contexts, tol, reduce=True)
+    p, contexts = w.poset, [t for t, row in enumerate(w._rows) if row is not None]
+    if _proved(w, tol, modular=True):
+        return _sum_rule("bisum", p, w._rows, contexts, tol, proved=True)
+    sound = _diamond_rows(w) if _distributive(p) else None
+    return _sum_rule("bisum", p, w._rows, contexts, tol, sound=sound)

@@ -220,11 +220,10 @@ def changed_quotient(w, t, x, delta):
 
 
 @st.composite
-def reduced_inputs(draw):
-    """A bi-valuation on one of REDUCED_LATTICES and a tolerance: as built,
-    with one quotient of a row changed in place, changed with with_value,
-    or copied through a plain dict whose rows share no float or Fraction
-    between their entries."""
+def irreducible_valuations(draw):
+    """A valuation on one of REDUCED_LATTICES from weights of one kind on
+    its join-irreducibles, which keeps the sum rule on a distributive
+    lattice; some with a zero weight, and some shifted at one element."""
     name = draw(st.sampled_from(sorted(REDUCED_LATTICES)))
     lat = REDUCED_LATTICES[name]
     kind = draw(st.sampled_from(KINDS))
@@ -239,15 +238,33 @@ def reduced_inputs(draw):
     if draw(st.booleans()):  # a shifted valuation, so some pair classes fail
         e = draw(st.sampled_from(lat.elements))
         v = v.replace(e, v(e) + draw(number(kind, 2)))
+    return v, kind
+
+
+def with_values(draw, w, kind):
+    """w after up to three with_value changes: changed, new or undefined."""
+    lat = w.poset
+    for _ in range(draw(st.integers(0, 3))):
+        x, t = draw(st.sampled_from(lat.elements)), draw(st.sampled_from(lat.elements))
+        w = w.with_value(x, t, draw(st.none() | number(kind, 2)))
+    return w
+
+
+@st.composite
+def reduced_inputs(draw):
+    """A bi-valuation on one of REDUCED_LATTICES and a tolerance: as built,
+    with one quotient of a row changed in place, changed with with_value,
+    or copied through a plain dict whose rows share no float or Fraction
+    between their entries."""
+    v, kind = draw(irreducible_valuations())
+    lat = v.poset
     tol = draw(tolerances)
     w = bivaluation_from_valuation(v, tol, validate=False)
     contexts = [t for t, row in enumerate(w._rows) if row is not None]
     if contexts and draw(st.booleans()):  # one quotient changed wherever its row holds it
         w = changed_quotient(w, draw(st.sampled_from(contexts)),
                              draw(st.integers(0, len(lat) - 1)), draw(number(kind, 2)))
-    for _ in range(draw(st.integers(0, 3))):  # with_value: changed, new or undefined
-        x, t = draw(st.sampled_from(lat.elements)), draw(st.sampled_from(lat.elements))
-        w = w.with_value(x, t, draw(st.none() | number(kind, 2)))
+    w = with_values(draw, w, kind)
     if draw(st.booleans()):
         w = BiValuation(lat, {key: fresh(value) for key, value in w.table.items()})
     return w, tol
@@ -259,6 +276,131 @@ def test_reduced_audits_match_reference_loops(case):
     w, tol = case
     for check, reference in REDUCED_RULES:
         assert_same_report(check(w, tol), reference(w, tol))
+
+
+# --- audits proved from the source valuation ---
+
+@settings(max_examples=150, deadline=None)
+@given(irreducible_valuations(), st.sampled_from([0, valuation.DEFAULT_TOL]), st.data())
+def test_proved_audits_match_reference_loops(case, tol, data):
+    # a derived bi-valuation is proved wherever its quotients allow, and a
+    # with_value change drops its source
+    v, kind = case
+    w = bivaluation_from_valuation(v, tol, validate=False)
+    if data.draw(st.booleans()):
+        w = with_values(data.draw, w, kind)
+    assert_audits_agree(v, w, tol)
+
+
+def rounding_bound(v):
+    """2**-49 M, M = max |v| / min {v(t) > 0}: the least tolerance at which
+    the rules of float quotients are proved, not evaluated."""
+    values = v.values.values()
+    return (Fraction(max(map(abs, values))) / Fraction(min(e for e in values if e > 0))
+            / 2 ** 49)
+
+
+@st.composite
+def spread_valuations(draw):
+    """Float weights k / 16, which sum exactly, or inexact 0.1 k, over four
+    orders of magnitude on the join-irreducibles of a distributive lattice;
+    some with one element, the bottom too, raised far above the rest, so
+    that quotients near M are rounded."""
+    lat = REDUCED_LATTICES[draw(st.sampled_from(sorted(DISTRIBUTIVE - {"B1"})))]
+    size, unit = len(lat.join_irreducibles()), draw(st.sampled_from([1 / 16, 0.1]))
+    v = irreducible_sums(lat, [unit * k for k in draw(
+        st.lists(st.integers(1, 10 ** 4), min_size=size, max_size=size))])
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(lat.elements))
+        v = v.replace(e, v(e) + 0.1 * draw(st.integers(10 ** 6, 10 ** 12)))
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(spread_valuations(), st.booleans())
+def test_float_audits_at_the_rounding_bound_match_reference_loops(v, below):
+    # at the bound the audits are proved, and just below it they run on the
+    # kernel; a bound too small for the kernel's residuals would let a
+    # proved audit pass instances that the reference loops fail
+    tol = rounding_bound(v) * (1 - Fraction(1, 2 ** 30) if below else 1)
+    assert_audits_agree(v, bivaluation_from_valuation(v, tol, validate=False), tol)
+
+
+def kernel_blocks(monkeypatch):
+    """A dict, filled as audits run, from each rule that runs on _kernel to
+    the number of blocks and stand-ins the kernel evaluated for it."""
+    ran, kernel = {}, valuation._kernel
+
+    def spy(rule, tol, p, raw, blocks, block, *rest, proof=None, **options):
+        ran.setdefault(rule, 0)
+
+        def spied(function):
+            def evaluate(rows, scale, key):
+                ran[rule] += 1
+                return function(rows, scale, key)
+            return evaluate
+        if proof:
+            proof = (spied(proof[0]), *proof[1:])
+        return kernel(rule, tol, p, raw, blocks, spied(block), *rest, proof=proof, **options)
+    monkeypatch.setattr(valuation, "_kernel", spy)
+    return ran
+
+
+ON_W = {"bisum", "chain", "diamond", "context"}
+
+
+def thirds(lat):
+    """Fraction weights k / (k + 2) on the join-irreducibles, all above 1/3."""
+    return irreducible_sums(lat, [Fraction(k, k + 2)
+                                  for k in range(1, len(lat.join_irreducibles()) + 1)])
+
+
+def ranks(lat):
+    """Int weights 1, 2, ... on the join-irreducibles."""
+    return irreducible_sums(lat, range(1, len(lat.join_irreducibles()) + 1))
+
+
+def derived(v):
+    return bivaluation_from_valuation(v, validate=False)
+
+
+# case -> lattice, its valuation, the bi-valuation built from it, the
+# tolerance or its function of the valuation, and the rules that must run
+# on the kernel
+PATHS = {
+    "fraction rows": ("B4", thirds, derived, 0, set()),
+    "fraction rows, default tolerance": ("D60", thirds, derived, valuation.DEFAULT_TOL, set()),
+    "int weights, default tolerance": ("B4", ranks, derived, valuation.DEFAULT_TOL, set()),
+    "float rows at tolerance 0": ("B4", ranks, derived, 0, ON_W),
+    "float rows at the rounding bound": ("B4", ranks, derived, rounding_bound, set()),
+    "float rows just below the rounding bound": (
+        "B4", ranks, derived, lambda v: rounding_bound(v) * (1 - Fraction(1, 2 ** 30)),
+        {"chain", "diamond", "context", "bisum"}),
+    "with_value": ("B4", thirds,
+                   lambda v: derived(v).with_value("{a}", "{a,b}", Fraction(1, 2)), 0, ON_W),
+    # {a,b} holds 1/3 + 2/4 = 5/6; chain, diamond and context are
+    # identities of any quotient, so only the sum rules run
+    "shifted values": ("B4", lambda lat: thirds(lat).replace("{a,b}", Fraction(14, 15)),
+                       derived, 0, {"sum", "bisum"}),
+    "a cover that decreases": ("B4", lambda lat: thirds(lat).replace("{a,b,c,d}", 0),
+                               derived, 0, {"sum", "monotone", "bisum"}),
+    "table-built": ("B4", thirds, lambda v: BiValuation(v.poset, derived(v).table),
+                    valuation.DEFAULT_TOL, ON_W),
+    "not distributive": ("N5", thirds, derived, 0, {"sum", "bisum"}),
+}
+
+
+@pytest.mark.parametrize("case", PATHS)
+def test_which_audits_run_on_the_kernel(monkeypatch, case):
+    name, valuation_of, bivaluation_of, tol, expected = PATHS[case]
+    v = valuation_of(REDUCED_LATTICES[name])
+    w = bivaluation_of(v)
+    tol = tol(v) if callable(tol) else tol
+    ran = kernel_blocks(monkeypatch)
+    assert_audits_agree(v, w, tol)
+    # a proved audit never calls the kernel, and one that does evaluates blocks
+    assert set(ran) == expected
+    assert all(ran.values())
 
 
 @pytest.mark.parametrize("name", sorted(REDUCED_LATTICES))
@@ -467,10 +609,10 @@ def test_default_audit_of_b9_counts_every_instance(tmp_path, capsys):
 
 # --- tables and memory ---
 
-def default_audit(v):
+def default_audit(v, tol=valuation.DEFAULT_TOL):
     """The audits a default ``rules audit`` runs, in its order."""
     w = bivaluation_from_valuation(v, validate=False)
-    return [check_sum_rule(v), *(check(w) for check, _ in BIVALUATION_RULES)]
+    return [check_sum_rule(v, tol), *(check(w, tol) for check, _ in BIVALUATION_RULES)]
 
 
 def test_tables_are_built_once_per_lattice(tmp_path, monkeypatch, capsys):
@@ -484,24 +626,33 @@ def test_tables_are_built_once_per_lattice(tmp_path, monkeypatch, capsys):
     weights = {a: k for k, a in enumerate(atoms, 1)}
     (tmp_path / "b4.json").write_text(json.dumps(boolean_lattice(atoms).to_dict()))
     (tmp_path / "w4.json").write_text(json.dumps(weights))
-    assert run(["rules", "audit", "--poset", str(tmp_path / "b4.json"),
-                "--atoms", str(tmp_path / "w4.json")]) == 0
-    capsys.readouterr()
-    # one meet table, one join table and one down-set list, all of the
-    # run's one poset, which is gone with the run
-    assert sorted(kind for kind, _, _ in built) == ["down", "join", "meet"]
-    assert len({p for _, p, _ in built}) == 1
-    gc.collect()
-    assert all(ref() is None for _, _, ref in built)
+    # at the default tolerance every audit is proved from the valuation, and
+    # only the bi-valuation and the audits' blocks read tables; at tolerance
+    # 0 the float rows run on the kernel, which also reads the join table
+    for tol, code, kinds in ((["--tol", "1e-9"], 0, ["down", "meet"]),
+                             (["--tol", "0"], 1, ["down", "join", "meet"])):
+        built.clear()
+        assert run(["rules", "audit", "--poset", str(tmp_path / "b4.json"),
+                    "--atoms", str(tmp_path / "w4.json"), *tol]) == code
+        capsys.readouterr()
+        # each table at most once, all of the run's one poset, which is
+        # gone with the run
+        assert sorted(kind for kind, _, _ in built) == kinds
+        assert len({p for _, p, _ in built}) == 1
+        gc.collect()
+        assert all(ref() is None for _, _, ref in built)
 
     built.clear()
     lat = boolean_lattice(atoms)
     v = derive_valuation_from_atoms(lat, weights)
-    first = default_audit(v)
-    assert sorted(kind for kind, _, _ in built) == ["down", "join", "meet"]
+    default_audit(v)
+    assert sorted(kind for kind, _, _ in built) == ["down", "meet"]
+    built.clear()
+    first = default_audit(v, 0)
+    assert [kind for kind, _, _ in built] == ["join"]
     built.clear()
     # a second audit of the same poset builds none, and gets the same reports
-    assert [r.to_dict() for r in default_audit(v)] == [r.to_dict() for r in first]
+    assert [r.to_dict() for r in default_audit(v, 0)] == [r.to_dict() for r in first]
     assert built == []
     # no cache outside the poset keeps it alive
     poset = weakref.ref(lat)

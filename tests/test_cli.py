@@ -543,7 +543,8 @@ HELP_GOLDEN = Path(__file__).parent / "golden" / "cli"
 # case -> argv and exit code. A case that exits 0 prints golden/cli/<case>.out
 # to stdout and nothing to stderr; one that exits 2 prints <case>.err to
 # stderr and nothing to stdout. The files hold what argparse printed at 80
-# columns before build_parser built one group's commands per run.
+# columns before build_parser built one group's commands per run, with the
+# whole description and the help of every command and --output since added.
 HELP_CASES = {
     "help": (["-h"], 0),
     "no-arguments": ([], 2),
