@@ -18,78 +18,44 @@ would pass anything. Contexts with zero measure are skipped and counted.
 All but the product rule run on one kernel, on rows indexed by the poset's
 topological positions, one per context. The order comes from the poset's
 down-set rows, and meets and joins from the certificate's extents and intents,
-in n x n tables, one per lattice. A valuation is such a row. A bi-valuation is
-stored as its rows, one per context with an entry, and the audits read them as
-they are: ``BiValuation.table`` builds an (x, t)-keyed dict on each access,
-and no audit calls it. A row is exact when each of its defined values is an
-int or a Fraction; it is then scaled to the lcm of its denominators. Each rule
-tests its instances in blocks that read one or two rows, and the choice is
-made per block: a block whose rows are all exact tests integers, where a
-difference d at scale S violates iff |d| > floor(tol * S), which is exactly
-|lhs - rhs| > tol. Any other block is tested on the values as they are, with
-the same operations as a plain loop, so float residuals are bit-identical. So
-an int bottom or one float entry changes the arithmetic of the blocks that
-read its row and no others.
+in n x n tables, one per lattice. A valuation is such a row, and a
+bi-valuation is stored as its rows. Each rule tests its instances in blocks
+that read one or two rows. A block whose rows are all exact (each defined
+value an int or a Fraction) tests integers, each row scaled to the lcm of its
+denominators, where a difference d at scale S violates iff
+|d| > floor(tol * S), which is exactly |lhs - rhs| > tol. Any other block is
+tested on the values as they are, with the same operations as a plain loop,
+so float residuals are bit-identical. Only the instances that violate have
+their sides computed, on the raw values, with the block's own operations.
 
-The context and per-context sum rules have n**3 instances, but most of them
-repeat others. Call row t diamond-exact when it is not empty, has no hole,
-and holds at each x the very object it holds at x ^ t. Every row that
-``bivaluation_from_valuation`` builds is: it divides each value below t by
-v(t) once and shares that quotient wherever the meet lands, which also
-keeps a row at one pointer per entry (10 MB at B10, not 33 MB). On such
-rows an instance can read the same objects, through the same operations,
-as a smaller one, which then stands in for it:
-  - a context block (x, y) whose rows x and x ^ y are diamond-exact stands
-    on the chain-rule block (x, x ^ y), which both rules build with one
-    function; at B_n the 4**n blocks of n instances fall to 3**n chain
-    blocks, whose verdicts are memoised;
-  - on a distributive lattice, the sum rule in a diamond-exact row t stands
-    on the unordered pairs (a, b) below t, a == b included: (x v y) ^ t is
-    (x ^ t) v (y ^ t), and addition is commutative, in IEEE floats too. At
-    B_n about 5**n / 2 pair classes replace n**2 (n - 1) / 2 instances, on
-    the block's own function over the down-set of t, not all elements.
-    Distributivity comes from the certificate: ext(x) | ext(j) must be an
-    extent for every x and each join-irreducible j.
-A stand-in runs in the same arithmetic as the block, since it reads the
-same rows, so its differences are the block's, bit for bit. So the stand-in
-decides the block: a passing one passes it with the same count, and each
-violating instance of a failing one violates in every instance of the
-block that reads its objects (in row t, the pairs x != y with x ^ t = a
-and y ^ t = b for class (a, b); in block (x, y), the z with z ^ y' = z'
-for chain instance z' <= y' <= x), with its sides. Those sides are
-computed on the raw values for each violating stand-in instance, not for
-each instance it stands for. A block that has no stand-in (rows that are
-copied, changed, holed or empty, and bisum on a lattice that is not
-distributive) runs on the kernel, and only the instances that violate
-have their sides computed, on the raw values, with the block's own
-operations.
-
-Most audits need not run at all. A bi-valuation that
-``bivaluation_from_valuation`` builds keeps its source's values, and its
-rules are identities of w(x | t) = v(x ^ t) / v(t): the chain and context
+A row's provenance decides whether its blocks are evaluated at all. Each row
+that ``bivaluation_from_valuation`` builds is derived: it holds
+w(x | t) = v(x ^ t) / v(t) of its source valuation v, one quotient object per
+meet x ^ t. ``_put`` clears the flag of the row it writes, so ``with_value``
+clears only the row it changes, and a bi-valuation built from a table has no
+derived row. On derived rows the rules are identities: the chain and context
 rules multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads one
-quotient on both sides, and the per-context sum rule is v's sum rule over
-v(t). v keeps its sum rule on a distributive lattice when v(x) is v(bottom)
-plus v(j) - v(j-) for each join-irreducible j <= x, which ``_modular``
-checks exactly in O(n |J|). So no instance can violate when every quotient
-is exact, or when they are floats and the tolerance is at least an a-priori
-bound on their rounding, 2**-49 max |v| / min {v(t) > 0} (``_proved``); a
-float row at tolerance 0 always runs on the kernel. The sum rule of exact
-values that ``_modular`` proves, and the monotone audit of values that
-do not fall along any cover, are proved the same way. A proved audit
-evaluates no instance: it walks the kernel's blocks and counts each as
-checked or skipped by the kernel's empty-row rule, so its report is the
-kernel's, with no violation. ``_put`` and ``with_value`` drop the source,
-and a bi-valuation built from a table has none, so a changed row always
-runs on the kernel, and every violation comes from the kernel.
+quotient on both sides, and row t's sum rule is v's sum rule below t over
+v(t). So ``_proved`` names the rows on which no instance can violate, and the
+kernel counts a block that reads only such rows, with one set test. The sum
+rule of exact values and the monotone audit of values that do not fall along
+any cover are proved the same way, for their one row.
+
+On a distributive lattice an unproved derived row t still saves most of its
+n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
+holds at each x the object at x ^ t, so instance (t, x, y) reads the very
+objects of the pair class (x ^ t, y ^ t) below t, which stands in for it. At
+B_n about 5**n / 2 classes replace n**2 (n - 1) / 2 instances, tested in the
+row's arithmetic, so bit for bit; a failing class fails each instance it
+stands for, with its sides.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, count, product, repeat
-from operator import countOf, is_, itemgetter, mul, sub
+from itertools import accumulate, chain, compress, count, product, repeat
+from operator import countOf, is_, itemgetter, mul, not_, sub
 from typing import Mapping, Union
 
 from ._record import Record, set_field
@@ -180,23 +146,7 @@ def _empty(raw) -> set[int]:
     return {t for t, row in enumerate(raw) if all(map(is_, row or (), repeat(_UNDEFINED)))}
 
 
-def _counted(rule, tol, raw, blocks) -> RuleReport:
-    """The report _kernel gives when no instance violates, with no instance
-    evaluated: the caller has proved that none does and that no row holds
-    a hole. It walks the kernel's ``blocks`` and, by the kernel's rule,
-    skips each block that is empty or reads an empty row, and counts every
-    other block's instances as checked."""
-    require_tolerance(tol)
-    empty, checked, skipped = _empty(raw), 0, 0
-    for _, reads, size in blocks:
-        if size and empty.isdisjoint(reads):
-            checked += size
-        else:
-            skipped += size
-    return build_report(rule, checked, tol, [], skipped)
-
-
-def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
+def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
             proof=None) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
@@ -205,45 +155,45 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
     ``blocks`` yields each block's key, the context rows it reads and its
     number of instances; every instance reads each of those rows, so a
     block reading a row with no defined value is skipped whole.
+    ``proved`` has a bool per row: the caller vouches that a proved row
+    holds no hole and that no instance of a block reading only proved rows
+    violates, so such a block counts as checked and is not evaluated.
     ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
     their scale, on the exact rows in integers (row t times scale[t], the
-    lcm of its denominators) or on raw at scale 1. The module docstring
-    says which blocks get which arithmetic. ``instance(key, k)`` gives the
-    positions of the block's k-th instance and its two sides on raw, with
-    the block's operands in the block's order; it runs only for the
-    instances that violate, so no block is evaluated a second time.
+    lcm of its denominators, scaled when a block first reads it) or on raw
+    at scale 1. ``instance(key, k)`` gives the positions of the block's
+    k-th instance and its two sides on raw, with the block's operands in
+    the block's order; it runs only for the instances that violate, so no
+    block is evaluated a second time.
     ``proof``, if given, is a stand-in block function, the rows it may
-    stand on (a bool per row) and an ``expand`` function. A block that
-    reads only such rows has a stand-in: the stand-in's block whose key is
-    the tuple of those rows. The caller vouches that each instance of the
-    block has the operands and operations of an instance of its stand-in.
-    Each stand-in is tested once, in the arithmetic its rows choose, and
-    decides every block that stands on it: the block has no hole, so all
-    of its instances count as checked, and ``expand(key, reads, failing)``
-    yields the positions and raw sides of each instance of the block
-    that stands on one of the stand-in's violating instances ``failing``.
-    A block without a stand-in is tested itself.
+    stand on (a bool per row) and an ``expand`` function. The caller
+    vouches that each instance of a block reading only such rows has the
+    operands and operations of an instance of the block's stand-in, which
+    decides it: the block has no hole, so all of its instances count as
+    checked, and ``expand(key, failing)`` yields the positions and raw
+    sides of each instance of the block that stands on one of the
+    stand-in's violating instances ``failing``.
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
-    rows, scale, empty, inexact = [], [], _empty(raw), set()
-    for t, row in enumerate(raw):
-        row = row or ()
-        types = set(map(type, row))
-        if types <= _EXACT:
-            s = math.lcm(*(e.denominator for e in row if e is not _UNDEFINED))
-            rows.append([e if e is _UNDEFINED else e.numerator * (s // e.denominator)
-                         for e in row])
-        else:
-            s = 1
-            rows.append(None)
-            inexact.add(t)
-        scale.append(s)
-    ones = [1] * len(raw)
+    empty = _empty(raw)
+    settled = empty.union(compress(count(), map(not_, proved)))
+    rows, scale, ones, inexact = [None] * len(raw), [1] * len(raw), [1] * len(raw), set()
+    unread = set(range(len(raw)))
 
     def differences(sides, key, reads):
         """lhs - rhs of the block that sides(rows, scale, key) gives, and
         the bound their sizes must keep."""
+        if not unread.isdisjoint(reads):  # each exact row is scaled on its first read
+            for t in unread.intersection(reads):
+                row = raw[t]
+                if set(map(type, row)) <= _EXACT:
+                    s = scale[t] = math.lcm(*(e.denominator for e in row if e is not _UNDEFINED))
+                    rows[t] = [e if e is _UNDEFINED else e.numerator * (s // e.denominator)
+                               for e in row]
+                else:
+                    inexact.add(t)
+            unread.difference_update(reads)
         if inexact.isdisjoint(reads):
             lhs, rhs, s = sides(rows, scale, key)
             return list(map(sub, lhs, rhs)), num * s // den
@@ -260,8 +210,7 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
                 if d is not _UNDEFINED and (d if signed else abs(d)) > above]
 
     stand_in, sound, expand = proof or (None, (), None)
-    unproved = {t for t, ok in enumerate(sound) if not ok}
-    failing = {}  # the rows a stand-in reads -> its violating instances
+    unsound = set(compress(count(), map(not_, sound)))
     checked = skipped = 0
     violations = []
 
@@ -271,25 +220,24 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False,
             violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
 
     for key, reads, size in blocks:
-        if not size or not empty.isdisjoint(reads):
-            skipped += size
-            continue
-        if stand_in and unproved.isdisjoint(reads):
-            if reads not in failing:
-                diffs, above = differences(stand_in, reads, reads)
-                failing[reads] = [] if fits(diffs, above) else violating(diffs, above)
+        if settled.isdisjoint(reads):
             checked += size
-            if failing[reads]:
-                report(expand(key, reads, failing[reads]))
-            continue
-        diffs, above = differences(block, key, reads)
-        if fits(diffs, above):
-            checked += len(diffs)
-            continue
-        undefined = countOf(diffs, _UNDEFINED)
-        skipped += undefined
-        checked += len(diffs) - undefined
-        report(instance(key, k) for k in violating(diffs, above))
+        elif not size or not empty.isdisjoint(reads):
+            skipped += size
+        elif stand_in and unsound.isdisjoint(reads):
+            diffs, above = differences(stand_in, key, reads)
+            checked += size
+            if not fits(diffs, above):
+                report(expand(key, violating(diffs, above)))
+        else:
+            diffs, above = differences(block, key, reads)
+            if fits(diffs, above):
+                checked += len(diffs)
+            else:
+                undefined = countOf(diffs, _UNDEFINED)
+                skipped += undefined
+                checked += len(diffs) - undefined
+                report(instance(key, k) for k in violating(diffs, above))
     return build_report(rule, checked, tol, violations, skipped)
 
 
@@ -319,14 +267,6 @@ def _gather(indices):
 def _times(stream, s):
     """The stream times s; at scale 1 the values pass through untouched."""
     return stream if s == 1 else map(mul, stream, repeat(s))
-
-
-def _diamond_exact(raw, meet) -> list[bool]:
-    """Whether each row t is diamond-exact: it is not empty, has no hole,
-    and holds at each x the very object it holds at x ^ t."""
-    return [row is not None and not any(map(is_, row, repeat(_UNDEFINED)))
-            and all(map(is_, row, map(row.__getitem__, meets)))
-            for row, meets in zip(raw, meet)]
 
 
 def _distributive(p: Poset) -> bool:
@@ -360,14 +300,15 @@ def _quotient_kind(values) -> str | None:
     return None
 
 
-def _modular(p: Poset, values) -> bool:
-    """Whether v(x) = v(bottom) + the sum of v(j) - v(j-) over the
-    join-irreducibles j <= x, exactly, at every position x; j- is j's one
+def _modular(p: Poset, values) -> int:
+    """The mask of the positions x where v(x) is not v(bottom) + the sum of
+    v(j) - v(j-) over the join-irreducibles j <= x, exactly; j- is j's one
     lower cover, whose extent is j's without j. ``values`` has an int, a
     Fraction or a float at each position, and a float counts as the
     rational it is. On a distributive lattice, J(x v y) = J(x) | J(y) and
-    J(x ^ y) = J(x) & J(y), so then v(x v y) + v(x ^ y) = v(x) + v(y) for
-    every pair, with no residual (Rota 1971; Geissinger 1973)."""
+    J(x ^ y) = J(x) & J(y), so where no x <= t is in the mask,
+    v(x v y) + v(x ^ y) = v(x) + v(y) for every pair below t, with no
+    residual, and conversely (Rota 1971; Geissinger 1973)."""
     c = p._require_lattice()
     ratios = [e.as_integer_ratio() for e in values]
     s = math.lcm(*(d for _, d in ratios))
@@ -375,34 +316,8 @@ def _modular(p: Poset, values) -> bool:
     steps = [ints[j] - ints[c.by_extent[c.extent[j] ^ 1 << k]]
              for k, j in enumerate(c.join_irreducibles)]
     base = ints[c.by_extent[0]] if ints else 0
-    return all(e == base + sum(map(steps.__getitem__, _bits(mask)))
-               for e, mask in zip(ints, c.extent))
-
-
-def _fibers(meets) -> dict[int, list[int]]:
-    """The positions x grouped by meets[x], each group in increasing order."""
-    fibers = {}
-    for x, m in enumerate(meets):
-        fibers.setdefault(m, []).append(x)
-    return fibers
-
-
-def _chain_rule(down, raw):
-    """The chain rule's block (z, y) for z's row and y's row: w(x|z) against
-    w(x|y) * w(y|z), as x runs over the elements below y; and its k-th
-    instance, x = down[y][k], with its sides on raw."""
-    below = [_gather(d) for d in down]
-
-    def block(rows, scale, key):
-        z, y = key
-        return (_times(below[y](rows[z]), scale[y]),
-                map(mul, below[y](rows[y]), repeat(rows[z][y])), scale[z] * scale[y])
-
-    def instance(key, k):
-        z, y = key
-        x = down[y][k]
-        return (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
-    return block, instance
+    return sum(1 << x for x, (e, mask) in enumerate(zip(ints, c.extent))
+               if e != base + sum(map(steps.__getitem__, _bits(mask))))
 
 
 def _pairs(d, skip):
@@ -416,30 +331,26 @@ def _pairs(d, skip):
     return pair, starts[-1]
 
 
-def _sum_rule(rule: str, p: Poset, raw, contexts, tol, sound=None,
-              proved=False) -> RuleReport:
+def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> RuleReport:
     """The sum rule in each context row; instances (x, y) or (t, x, y), ids x < y.
 
-    A ``proved`` audit is counted, not evaluated. Given ``sound``, the
-    diamond-exact rows of a distributive lattice, a diamond-exact row t stands
-    on its pair classes: the instance (t, x, y) reads the very objects of
-    class (x ^ t, y ^ t), because row t holds at x v y what it holds at
-    (x v y) ^ t = (x ^ t) v (y ^ t), and at x ^ y what it holds at
-    (x ^ t) ^ (y ^ t). The right side adds the pair in either order, and
-    addition is commutative, in IEEE floats too. So a failing class (a, b)
-    fails each instance with x in the fiber of a (the x with x ^ t = a),
-    y in the fiber of b and x != y, with the class's sides.
+    Given ``sound``, a bool per row on a distributive lattice, each sound
+    row t is diamond-exact and stands on its pair classes: the instance
+    (t, x, y) reads the very objects of class (x ^ t, y ^ t), because row t
+    holds at x v y what it holds at (x v y) ^ t = (x ^ t) v (y ^ t), and at
+    x ^ y what it holds at (x ^ t) ^ (y ^ t). The right side adds the pair
+    in either order, and addition is commutative, in IEEE floats too. So a
+    failing class (a, b) fails each instance with x ^ t = a, y ^ t = b and
+    x != y, with the class's sides.
     """
     n = len(p)
     blocks = (((t,), (t,), n * (n - 1) // 2) for t in contexts)
-    if proved:
-        return _counted(rule, tol, raw, blocks)
-    join, meet = _table(p, "join"), _table(p, "meet")
 
     def sides(row, d, skip):
         """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
         d, b at least skip places after a, made one list per a: d is every id
         for block (t,), the down-set of t for its stand-in, or one pair."""
+        join, meet = _table(p, "join"), _table(p, "meet")
         firsts = zip(count(), map(join.__getitem__, d), map(meet.__getitem__, d))
         return (chain.from_iterable([row[join_a[b]] + row[meet_a[b]] for b in d[i + skip:]]
                                     for i, join_a, meet_a in firsts),
@@ -454,21 +365,21 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, sound=None,
     def instance(key, k):
         (t,), (x, y) = key, pair(k)
         return ((x, y) if rule == "sum" else (t, x, y), *map(next, sides(raw[t], (x, y), 1)))
-    proof = None
-    if sound is not None:
-        down = _table(p, "down")
 
-        def expand(key, reads, failing):
-            (t,) = key
-            row, fiber, (pair_class, _) = raw[t], _fibers(meet[t]), _pairs(down[t], 0)
-            # a class (a, a) compares a sum with itself and never fails, so
-            # a != b, and each pair from the two fibers is one instance
-            for a, b in map(pair_class, failing):
-                lhs, rhs = map(next, sides(row, (a, b), 1))
-                for x, y in product(fiber[a], fiber[b]):
-                    yield (t, x, y) if p._at[x] < p._at[y] else (t, y, x), lhs, rhs
-        proof = block(down.__getitem__, 0), sound, expand
-    return _kernel(rule, tol, p, raw, blocks, block(lambda t: ids, 1), instance, proof=proof)
+    def expand(key, failing):
+        (t,) = key
+        row, fiber, (pair_class, _) = raw[t], {}, _pairs(_table(p, "down")[t], 0)
+        for x, m in enumerate(_table(p, "meet")[t]):  # the x with x ^ t = m
+            fiber.setdefault(m, []).append(x)
+        # a class (a, a) compares a sum with itself and never fails, so
+        # a != b, and each pair from the two fibers is one instance
+        for a, b in map(pair_class, failing):
+            lhs, rhs = map(next, sides(row, (a, b), 1))
+            for x, y in product(fiber[a], fiber[b]):
+                yield (t, x, y) if p._at[x] < p._at[y] else (t, y, x), lhs, rhs
+    proof = None if sound is None else (block(lambda t: _table(p, "down")[t], 0), sound, expand)
+    return _kernel(rule, tol, p, raw, blocks, block(lambda t: ids, 1), instance,
+                   proved=proved, proof=proof)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -486,8 +397,8 @@ def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     p, row = v.poset, _valuation_row(v)
     types = set(map(type, row))
     proved = (types <= _EXACT and type(_UNDEFINED) not in types
-              and _distributive(p) and _modular(p, row))
-    return _sum_rule("sum", p, [row], [0], tol, proved=proved)
+              and _distributive(p) and not _modular(p, row))
+    return _sum_rule("sum", p, [row], [0], tol, [proved])
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
@@ -502,13 +413,16 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     down-set sizes."""
     p, row = v.poset, _valuation_row(v)
     blocks = ((y, (0,), mask.bit_count() - 1) for y, mask in enumerate(p._down_t))
-    if _quotient_kind(row) and all(v.values[a] <= v.values[b] for a, b in p.covers):
-        return _counted("monotone", tol, [row], blocks)
-    down = _table(p, "down")
-    return _kernel("monotone", tol, p, [row], blocks,
-                   lambda rows, scale, y: (map(rows[0].__getitem__, down[y][:-1]),
-                                           repeat(rows[0][y]), scale[0]),
-                   lambda y, k: ((down[y][k], y), row[down[y][k]], row[y]), signed=True)
+    proved = bool(_quotient_kind(row)) and all(v.values[a] <= v.values[b] for a, b in p.covers)
+
+    def block(rows, scale, y):
+        return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y]), scale[0]
+
+    def instance(y, k):
+        x = _table(p, "down")[y][k]
+        return (x, y), row[x], row[y]
+    return _kernel("monotone", tol, p, [row], blocks, block, instance, signed=True,
+                   proved=[proved])
 
 
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
@@ -544,22 +458,24 @@ class BiValuation:
     context with no entry has no row (None). ``table`` builds the (x,
     context)-keyed dict the constructor takes on each access; no audit calls it.
     ``_source`` holds, by position, the values of the valuation that
-    bivaluation_from_valuation divided into the rows; a bi-valuation built
-    from a table has none, and ``_put`` drops it.
+    bivaluation_from_valuation divided into the rows, and ``_derived[t]``
+    whether row t is still the row it built, with one quotient object per
+    meet x ^ t; a bi-valuation built from a table has none, and ``_put``
+    clears the flag of the row it writes.
     """
 
     def __init__(self, poset: Poset, table: Mapping[tuple[str, str], Value]):
         self.poset, self._rows = poset, [None] * len(poset)
-        self._source = None
+        self._source, self._derived = None, [False] * len(poset)
         for (x, context), value in table.items():
             self._put(x, context, value)
 
     def _put(self, x: str, y: str, value: Value) -> None:
         """Set w(x | y) in place, giving context y a row if it has none."""
-        self._source = None
         if x not in self.poset or y not in self.poset:
             raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) is not in the poset")
         t = self.poset._pos[y]
+        self._derived[t] = False
         row = self._rows[t] = self._rows[t] or [_UNDEFINED] * len(self.poset)
         row[self.poset._pos[x]] = _UNDEFINED if value is None else value
 
@@ -578,6 +494,8 @@ class BiValuation:
         return None if row is None or row[i] is _UNDEFINED else row[i]
 
     def value(self, x: str, context: str) -> Value:
+        if x not in self.poset or context not in self.poset:
+            raise UnknownElement(f"bi-valuation key ({x!r}, {context!r}) is not in the poset")
         found = self.get(x, context)
         if found is None:
             raise ZeroMeasureContext(f"w({x!r} | {context!r}) is undefined")
@@ -590,6 +508,7 @@ class BiValuation:
         w = BiValuation(self.poset, {})  # shares every row but the one it changes
         w._rows[:] = (row and list(row) if t == context else row
                       for t, row in zip(self.poset._at, self._rows))
+        w._source, w._derived[:] = self._source, self._derived
         w._put(x, context, value)
         return w
 
@@ -606,30 +525,24 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
     values = [v.values[x] for x in p._at]
     # the meet table is symmetric, so its row y is its column y. Row y
     # divides each value below y once and holds that quotient wherever the
-    # meet lands, which makes it diamond-exact; every meet with y is below
-    # y, so no entry comes from an earlier row's quotients
+    # meet lands; every meet with y is below y, so no entry comes from an
+    # earlier row's quotients
     quotient = [None] * len(p)
     for t, (vy, meets, below) in enumerate(zip(values, _table(p, "meet"), _table(p, "down"))):
         if vy > 0:
             for m in below:
                 quotient[m] = values[m] / vy
-            w._rows[t] = [quotient[m] for m in meets]
+            w._rows[t], w._derived[t] = [quotient[m] for m in meets], True
     w._source = values
     return w
 
 
-def _diamond_rows(w: BiValuation) -> list[bool]:
-    """_diamond_exact of w's rows. A row that bivaluation_from_valuation
-    builds is diamond-exact, so derived rows skip the check."""
-    if w._source is not None:
-        return [row is not None for row in w._rows]
-    return _diamond_exact(w._rows, _table(w.poset, "meet"))
-
-
-def _proved(w: BiValuation, tol, modular=False) -> bool:
-    """Whether no instance of w's chain, diamond and context rules, and with
-    ``modular`` of its per-context sum rule, can violate at tol, because
-    w's rows are its source's quotients (module docstring).
+def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
+    """Whether each row of w is derived and no instance of w's chain,
+    diamond and context rules, and with ``modular`` of its per-context sum
+    rule on a distributive lattice, that reads only such rows can violate
+    at tol (module docstring). The sum rule holds below row t when no
+    position x <= t is in _modular's mask.
 
     Float quotients are each correctly rounded (_quotient_kind), and with
     u = 2**-53 and M = max |v| / min {v(t) > 0} >= 1 bounding every
@@ -641,57 +554,59 @@ def _proved(w: BiValuation, tol, modular=False) -> bool:
     gradual underflow adds at most 2**-1075 to a rounding). So any
     tolerance of at least 2**-49 M passes them; M stays at most 2**1000, so
     no quotient or product overflows."""
-    values = w._source
+    values, none = w._source, [False] * len(w._rows)
     kind = values is not None and _quotient_kind(values)
     if not kind:
-        return False
-    positive = [e for e in values if e > 0]
-    if kind == "float" and positive:
+        return none
+    positive = kind == "float" and [e for e in values if e > 0]
+    if positive:
         m = Fraction(max(map(abs, values))) / Fraction(min(positive))
         if not (m <= 2 ** 1000 and tol >= m / 2 ** 49):
-            return False
-    return not modular or _distributive(w.poset) and _modular(w.poset, values)
+            return none
+    if not modular:
+        return w._derived
+    bad = _modular(w.poset, values)
+    return [derived and not down & bad for derived, down in zip(w._derived, w.poset._down_t)]
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
-    """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z."""
-    p, down = w.poset, _table(w.poset, "down")
+    """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z; block
+    (z, y) runs over the x below y."""
+    p, raw, down = w.poset, w._rows, _table(w.poset, "down")
     blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
-    if _proved(w, tol):
-        return _counted("chain", tol, w._rows, blocks)
-    return _kernel("chain", tol, p, w._rows, blocks, *_chain_rule(down, w._rows))
+
+    def block(rows, scale, key):
+        z, y = key
+        below = _gather(down[y])
+        return (_times(below(rows[z]), scale[y]),
+                map(mul, below(rows[y]), repeat(rows[z][y])), scale[z] * scale[y])
+
+    def instance(key, k):
+        z, y = key
+        x = down[y][k]
+        return (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
+    return _kernel("chain", tol, p, raw, blocks, block, instance, proved=_proved(w, tol))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
     p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
     n = len(p)
-    blocks = ((x, (x,), n) for x in range(n))
-    if _proved(w, tol):
-        return _counted("diamond", tol, raw, blocks)
-    return _kernel("diamond", tol, p, raw, blocks,
+    return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
                    lambda rows, scale, x: (rows[x], map(rows[x].__getitem__, meet[x]), scale[x]),
-                   lambda x, y: ((x, y), raw[x][y], raw[x][meet[x][y]]))
+                   lambda x, y: ((x, y), raw[x][y], raw[x][meet[x][y]]),
+                   proved=_proved(w, tol))
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
-    """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered triples.
-
-    Block (x, y) reads rows x and y' = x ^ y. When both are diamond-exact,
-    its chain-rule block (x, y') stands in for it: with z' = z ^ y', row x
-    holds at y ^ z the object at z' and at y the object at y', and row y'
-    holds at z the object at z', so instance (x, y, z) computes row_x[z']
-    against row_y'[z'] * row_x[y'], which is chain instance z' <= y' <= x.
-    So a failing chain instance z' fails each instance (x, y, z) with
-    z ^ y' = z', with the chain instance's sides.
-    """
+    """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered
+    triples; block (x, y) reads rows x and x ^ y, and z runs over all
+    elements."""
     p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
     n = len(p)
     blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
-    if _proved(w, tol):
-        return _counted("context", tol, raw, blocks)
 
-    def block(rows, scale, key):  # z runs over all elements
+    def block(rows, scale, key):
         x, y = key
         xy = meet[x][y]
         return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
@@ -700,25 +615,16 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
     def instance(key, z):
         x, y = key
         return (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
-    chain_block, chain_instance = _chain_rule(_table(p, "down"), raw)
-    fibers = {}  # y' -> the positions z grouped by z ^ y'
-
-    def expand(key, reads, failing):
-        xy = reads[1]
-        if xy not in fibers:
-            fibers[xy] = _fibers(meet[xy])
-        for k in failing:
-            (zy, _, _), lhs, rhs = chain_instance(reads, k)  # zy = z ^ y' <= y' <= x
-            for z in fibers[xy][zy]:
-                yield (*key, z), lhs, rhs
-    return _kernel("context", tol, p, raw, blocks, block, instance,
-                   proof=(chain_block, _diamond_rows(w), expand))
+    return _kernel("context", tol, p, raw, blocks, block, instance, proved=_proved(w, tol))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
-    """Audit the sum rule inside every available context t; instances (t, x, y)."""
+    """Audit the sum rule inside every available context t; instances (t, x, y).
+
+    Only a distributive lattice proves a row or gives it a stand-in, and
+    there every derived row is diamond-exact."""
     p, contexts = w.poset, [t for t, row in enumerate(w._rows) if row is not None]
-    if _proved(w, tol, modular=True):
-        return _sum_rule("bisum", p, w._rows, contexts, tol, proved=True)
-    sound = _diamond_rows(w) if _distributive(p) else None
-    return _sum_rule("bisum", p, w._rows, contexts, tol, sound=sound)
+    if not _distributive(p):
+        return _sum_rule("bisum", p, w._rows, contexts, tol, [False] * len(p))
+    return _sum_rule("bisum", p, w._rows, contexts, tol, _proved(w, tol, modular=True),
+                     w._derived)

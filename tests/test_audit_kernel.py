@@ -208,11 +208,11 @@ def fresh(value):
 
 def changed_quotient(w, t, x, delta):
     """w with the object that row t holds at x replaced, wherever row t
-    holds it, by that value plus delta in a new object: row t stays
-    diamond-exact, and the chain stand-ins of context blocks reading it
-    fail."""
+    holds it, by that value plus delta in a new object, and with no source:
+    row t stays diamond-exact, so each row keeps its derived flag and bisum
+    its stand-ins, but no row is proved."""
     changed = BiValuation(w.poset, {})
-    changed._rows[:] = w._rows
+    changed._rows[:], changed._derived[:] = w._rows, w._derived
     old = w._rows[t][x]
     new = old + delta
     changed._rows[t] = [new if e is old else e for e in w._rows[t]]
@@ -284,7 +284,7 @@ def test_reduced_audits_match_reference_loops(case):
 @given(irreducible_valuations(), st.sampled_from([0, valuation.DEFAULT_TOL]), st.data())
 def test_proved_audits_match_reference_loops(case, tol, data):
     # a derived bi-valuation is proved wherever its quotients allow, and a
-    # with_value change drops its source
+    # with_value change clears the flag of the one row it changes
     v, kind = case
     w = bivaluation_from_valuation(v, tol, validate=False)
     if data.draw(st.booleans()):
@@ -327,21 +327,28 @@ def test_float_audits_at_the_rounding_bound_match_reference_loops(v, below):
 
 
 def kernel_blocks(monkeypatch):
-    """A dict, filled as audits run, from each rule that runs on _kernel to
-    the number of blocks and stand-ins the kernel evaluated for it."""
+    """A dict, filled as audits run, from each rule whose kernel evaluates
+    a block to what it evaluated, in order: ("block", rows read) for a
+    block and ("stand-in", rows read) for a block's stand-in."""
     ran, kernel = {}, valuation._kernel
 
     def spy(rule, tol, p, raw, blocks, block, *rest, proof=None, **options):
-        ran.setdefault(rule, 0)
+        reads = {}
 
-        def spied(function):
+        def listed():
+            for key, rows, size in blocks:
+                reads[key] = rows
+                yield key, rows, size
+
+        def spied(kind, function):
             def evaluate(rows, scale, key):
-                ran[rule] += 1
+                ran.setdefault(rule, []).append((kind, reads[key]))
                 return function(rows, scale, key)
             return evaluate
         if proof:
-            proof = (spied(proof[0]), *proof[1:])
-        return kernel(rule, tol, p, raw, blocks, spied(block), *rest, proof=proof, **options)
+            proof = (spied("stand-in", proof[0]), *proof[1:])
+        return kernel(rule, tol, p, raw, listed(), spied("block", block), *rest,
+                      proof=proof, **options)
     monkeypatch.setattr(valuation, "_kernel", spy)
     return ran
 
@@ -365,8 +372,8 @@ def derived(v):
 
 
 # case -> lattice, its valuation, the bi-valuation built from it, the
-# tolerance or its function of the valuation, and the rules that must run
-# on the kernel
+# tolerance or its function of the valuation, and the rules whose kernel
+# must evaluate blocks
 PATHS = {
     "fraction rows": ("B4", thirds, derived, 0, set()),
     "fraction rows, default tolerance": ("D60", thirds, derived, valuation.DEFAULT_TOL, set()),
@@ -376,14 +383,17 @@ PATHS = {
     "float rows just below the rounding bound": (
         "B4", ranks, derived, lambda v: rounding_bound(v) * (1 - Fraction(1, 2 ** 30)),
         {"chain", "diamond", "context", "bisum"}),
+    # only the blocks that read the changed row {a,b}
     "with_value": ("B4", thirds,
                    lambda v: derived(v).with_value("{a}", "{a,b}", Fraction(1, 2)), 0, ON_W),
     # {a,b} holds 1/3 + 2/4 = 5/6; chain, diamond and context are
     # identities of any quotient, so only the sum rules run
     "shifted values": ("B4", lambda lat: thirds(lat).replace("{a,b}", Fraction(14, 15)),
                        derived, 0, {"sum", "bisum"}),
+    # the sum rule fails only at the top, whose context has measure 0, so
+    # every bisum row with a context is proved
     "a cover that decreases": ("B4", lambda lat: thirds(lat).replace("{a,b,c,d}", 0),
-                               derived, 0, {"sum", "monotone", "bisum"}),
+                               derived, 0, {"sum", "monotone"}),
     "table-built": ("B4", thirds, lambda v: BiValuation(v.poset, derived(v).table),
                     valuation.DEFAULT_TOL, ON_W),
     "not distributive": ("N5", thirds, derived, 0, {"sum", "bisum"}),
@@ -398,9 +408,11 @@ def test_which_audits_run_on_the_kernel(monkeypatch, case):
     tol = tol(v) if callable(tol) else tol
     ran = kernel_blocks(monkeypatch)
     assert_audits_agree(v, w, tol)
-    # a proved audit never calls the kernel, and one that does evaluates blocks
+    # a block that reads only proved rows is counted, not evaluated
     assert set(ran) == expected
-    assert all(ran.values())
+    if case == "with_value":
+        changed = v.poset._pos["{a,b}"]
+        assert all(changed in reads for evaluated in ran.values() for _, reads in evaluated)
 
 
 @pytest.mark.parametrize("name", sorted(REDUCED_LATTICES))
@@ -432,30 +444,52 @@ def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
 @pytest.mark.parametrize("name", ["B4", "D60"])
 def test_failing_stand_ins_decide_diamond_exact_rows(monkeypatch, name, change):
     lat = REDUCED_LATTICES[name]
-    v = irreducible_sums(lat, range(1, len(lat.join_irreducibles()) + 1))
+    v = ranks(lat)
     middle = lat.elements[len(lat) // 2]
     if change == "shifted":
         v = v.replace(middle, v(middle) + 1)
-    w = bivaluation_from_valuation(v, validate=False)
+    w = derived(v)
     if change == "changed quotient":
         w = changed_quotient(w, len(lat) - 1, lat._pos[middle], 0.5)
-    assert all(valuation._diamond_exact(w._rows, valuation._table(lat, "meet"))[1:])
-    kernel, ran = valuation._kernel, []
-
-    def spy(rule, tol, p, raw, blocks, block, *rest, **options):
-        def spied(rows, scale, key):
-            ran.append((rule, key))
-            return block(rows, scale, key)
-        return kernel(rule, tol, p, raw, blocks, spied, *rest, **options)
-    monkeypatch.setattr(valuation, "_kernel", spy)
-    # every row with a context is diamond-exact, so the stand-ins decide
-    # every block, the failing ones included, and no block runs itself
+    # every row with a context is derived, and at tolerance 0 no float row
+    # is proved
+    assert all(w._derived[1:]) and w._rows[0] is None
+    ran = kernel_blocks(monkeypatch)
     reports = [(check(w, 0), reference(w, 0)) for check, reference in REDUCED_RULES]
-    assert ran == []
+    # the stand-ins decide every bisum block, the failing ones included, and
+    # no bisum block runs itself; the context rule has no stand-in
+    assert ran["bisum"] == [("stand-in", (t,)) for t in range(1, len(lat))]
+    assert {kind for kind, _ in ran["context"]} == {"block"}
     for report, expected in reports:
         assert_same_report(report, expected)
     failed = {report.rule for report, _ in reports if not report.passed}
     assert "bisum" in failed and ("context" in failed or change == "shifted")
+
+
+def test_a_changed_row_evaluates_only_the_blocks_that_read_it(monkeypatch):
+    lat = boolean_lattice("abcdef")
+    n, bottom, c = len(lat), lat._pos["{}"], lat._pos["{a,b,c}"]
+    meet, down = valuation._table(lat, "meet"), valuation._table(lat, "down")
+    v = thirds(lat)
+    ran = kernel_blocks(monkeypatch)
+    assert_audits_agree(v, derived(v).with_value("{a}", "{a,b,c}", Fraction(1, 2)), 0)
+    # every other row is proved, and the bottom has measure 0, so a block
+    # that reads it is skipped, not evaluated
+    context = [(x, meet[x][y]) for x in range(n) for y in range(n)
+               if c in (x, meet[x][y]) and bottom != meet[x][y]]
+    chain = [(z, y) for z in range(n) for y in down[z] if c in (z, y) and y != bottom]
+    assert ran == {"context": [("block", reads) for reads in context],
+                   "chain": [("block", reads) for reads in chain],
+                   "diamond": [("block", (c,))], "bisum": [("block", (c,))]}
+
+    # v shifted at e keeps its sum rule below every t but those above e,
+    # whose bisum rows stand on their pair classes
+    ran.clear()
+    e = lat._pos["{a,b,c}"]
+    shifted = v.replace("{a,b,c}", v("{a,b,c}") + Fraction(1, 4))
+    assert_audits_agree(shifted, derived(shifted), 0)
+    assert ran == {"sum": [("block", (0,))],
+                   "bisum": [("stand-in", (t,)) for t in range(n) if lat._down_t[t] >> e & 1]}
 
 
 def test_violation_sides_keep_their_json_types():
@@ -481,19 +515,25 @@ def test_built_rows_share_their_quotients_and_copied_rows_do_not():
     lat = boolean_lattice("abc")
     v = derive_valuation_from_atoms(lat, {"a": 0.1, "b": 0.2, "c": 0.7})
     w = bivaluation_from_valuation(v, validate=False)
-    meet, top = valuation._table(lat, "meet"), len(lat) - 1
-    # the bottom has measure 0 and no row
-    assert valuation._diamond_exact(w._rows, meet) == [False] + [True] * top
-    copied = BiValuation(lat, {key: fresh(value) for key, value in w.table.items()})
-    # only at the top is x ^ t always x itself
-    assert valuation._diamond_exact(copied._rows, meet) == [False] * top + [True]
-    # with_value copies the row it changes, which then holds a new object
-    # at {a} and the old one at {a,c}, whose meet with {a,b} is {a}
+    meet, top, ab = valuation._table(lat, "meet"), len(lat) - 1, lat._pos["{a,b}"]
+    # each built row is derived and holds at x the very quotient it holds at
+    # x ^ t; the bottom has measure 0 and no row
+    assert w._derived == [False] + [True] * top
+    assert all(row[x] is row[m] for row, meets in zip(w._rows[1:], meet[1:])
+               for x, m in enumerate(meets))
+    # with_value copies the row it changes and clears its flag only; every
+    # other row and flag is shared, and so is the source
     changed = w.with_value("{a}", "{a,b}", w.get("{a}", "{a,b}") + 0.5)
-    exact = valuation._diamond_exact(changed._rows, meet)
-    assert [lat._at[t] for t, ok in enumerate(exact) if not ok] == ["{}", "{a,b}"]
+    assert [lat._at[t] for t, ok in enumerate(changed._derived) if not ok] == ["{}", "{a,b}"]
+    assert all(new is old for t, (new, old) in enumerate(zip(changed._rows, w._rows)) if t != ab)
+    assert changed._rows[ab] is not w._rows[ab] and changed._source is w._source
+    # a hole clears its row's flag too, and w keeps its own
     holed = w.with_value("{c}", "{a,b}", None)
-    assert not valuation._diamond_exact(holed._rows, meet)[lat._pos["{a,b}"]]
+    assert [lat._at[t] for t, ok in enumerate(holed._derived) if not ok] == ["{}", "{a,b}"]
+    assert w._derived == [False] + [True] * top
+    # a table copied from w has no derived row and no source
+    copied = BiValuation(lat, w.table)
+    assert copied._derived == [False] * len(lat) and copied._source is None
 
 
 def test_audits_of_an_empty_poset_check_nothing():

@@ -199,6 +199,15 @@ def test_zero_measure_context_is_undefined(b3):
     assert w.get("{b}", "{a}") is None
 
 
+def test_bivaluation_value_of_an_unknown_element(wb3):
+    # an id that is not in the poset is unknown, not a zero-measure context,
+    # as for Valuation and with_value
+    for key in (("zzz", "{a}"), ("{a}", "zzz")):
+        with pytest.raises(UnknownElement, match="not in the poset"):
+            wb3.value(*key)
+        assert wb3.get(*key) is None
+
+
 def test_bivaluation_normalization(vb3, wb3):
     top = vb3.poset.top()
     bottom = vb3.poset.bottom()
