@@ -142,6 +142,12 @@ def _load_audit_valuation(args):
     from .serialize import load_atom_values, load_poset, load_valuation
     from .valuation import Valuation, derive_valuation_from_atoms
 
+    # --valuation names its own poset and values, and --atoms and --values
+    # are two readings of one file: either flag of a pair would be ignored
+    for first, second in (("valuation", "poset"), ("valuation", "atoms"),
+                          ("valuation", "values"), ("atoms", "values")):
+        if getattr(args, first) is not None and getattr(args, second) is not None:
+            raise OrdinalError(f"rules audit takes --{first} or --{second}, not both")
     if args.valuation:
         return load_valuation(args.valuation)
     if not args.poset:

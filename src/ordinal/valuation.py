@@ -29,17 +29,19 @@ so float residuals are bit-identical. Only the instances that violate have
 their sides computed, on the raw values, with the block's own operations.
 
 A row's provenance decides whether its blocks are evaluated at all. Each row
-that ``bivaluation_from_valuation`` builds is derived: it holds
+of ``bivaluation_from_valuation`` is derived: it holds
 w(x | t) = v(x ^ t) / v(t) of its source valuation v, one quotient object per
-meet x ^ t. ``_put`` clears the flag of the row it writes, so ``with_value``
-clears only the row it changes, and a bi-valuation built from a table has no
-derived row. On derived rows the rules are identities: the chain and context
-rules multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads one
-quotient on both sides, and row t's sum rule is v's sum rule below t over
-v(t). So ``_proved`` names the rows on which no instance can violate, and the
-kernel counts a block that reads only such rows, with one set test. The sum
-rule of exact values and the monotone audit of values that do not fall along
-any cover are proved the same way, for their one row.
+meet x ^ t, and it is divided only when something first reads it (``_row``).
+``_put`` clears the flag of the row it writes, so ``with_value`` clears only
+the row it changes, and a bi-valuation built from a table has no derived
+row. On derived rows the rules are identities: the chain and context rules
+multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads one quotient on
+both sides, and row t's sum rule is v's sum rule below t over v(t). So
+``_proved`` names the rows on which no instance can violate, from v's values
+alone, and the kernel counts a block that reads only such rows, with one set
+test; a proved audit builds no row. The sum rule of exact values and the
+monotone audit of values that do not fall along any cover are proved the
+same way, for their one row.
 
 On a distributive lattice an unproved derived row t still saves most of its
 n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
@@ -53,10 +55,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, product, repeat
 from operator import countOf, is_, itemgetter, mul, not_, sub
-from typing import Mapping, Union
+from typing import Union
 
 from ._record import Record, set_field
 from .errors import (LatticeMismatch, NegativeAtomValue, UnknownElement,
@@ -141,9 +144,40 @@ def require_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
+class _Unbuilt:
+    """A derived row before its first read: w(x | t) = v(x ^ t) / v(t) of
+    v's ``values`` by position, v(t) > 0. It refers to no bi-valuation, so
+    a row shared between bi-valuations makes no reference cycle."""
+
+    __slots__ = ("poset", "values", "t")
+
+    def __init__(self, poset: Poset, values: list, t: int):
+        self.poset, self.values, self.t = poset, values, t
+
+
+def _build_row(unbuilt: _Unbuilt) -> list:
+    """The row an _Unbuilt stands for. It divides each value below t once
+    and holds that quotient wherever the meet x ^ t lands, so it keeps one
+    quotient object per meet; every meet with t is below t."""
+    p, values, t = unbuilt.poset, unbuilt.values, unbuilt.t
+    vt = values[t]
+    quotient = {m: values[m] / vt for m in _table(p, "down")[t]}
+    return list(map(quotient.__getitem__, _table(p, "meet")[t]))
+
+
+def _row(rows: list, t: int):
+    """rows[t], built on its first read if it is unbuilt, and kept in rows."""
+    row = rows[t]
+    if type(row) is _Unbuilt:
+        row = rows[t] = _build_row(row)
+    return row
+
+
 def _empty(raw) -> set[int]:
-    """The context rows with no defined value, None rows included."""
-    return {t for t, row in enumerate(raw) if all(map(is_, row or (), repeat(_UNDEFINED)))}
+    """The context rows with no defined value, None rows included. An
+    unbuilt row is not read: v(t) > 0 defines each of its entries."""
+    return {t for t, row in enumerate(raw)
+            if type(row) is not _Unbuilt and all(map(is_, row or (), repeat(_UNDEFINED)))}
 
 
 def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
@@ -151,7 +185,9 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
     """Test one rule's instances, block by block, and report its violations.
 
     ``raw[t][x]`` is the value at the element in position x in the context
-    in position t, or _UNDEFINED, and a row of None is empty.
+    in position t, or _UNDEFINED, and a row of None is empty. An _Unbuilt
+    row is built on a block's first read of it, so a row that only
+    counted blocks read is never built.
     ``blocks`` yields each block's key, the context rows it reads and its
     number of instances; every instance reads each of those rows, so a
     block reading a row with no defined value is skipped whole.
@@ -184,9 +220,9 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
     def differences(sides, key, reads):
         """lhs - rhs of the block that sides(rows, scale, key) gives, and
         the bound their sizes must keep."""
-        if not unread.isdisjoint(reads):  # each exact row is scaled on its first read
+        if not unread.isdisjoint(reads):  # each row is built, and scaled if exact, on first read
             for t in unread.intersection(reads):
-                row = raw[t]
+                row = _row(raw, t)
                 if set(map(type, row)) <= _EXACT:
                     s = scale[t] = math.lcm(*(e.denominator for e in row if e is not _UNDEFINED))
                     rows[t] = [e if e is _UNDEFINED else e.numerator * (s // e.denominator)
@@ -455,13 +491,15 @@ class BiValuation:
 
     Stored as one row per context, both indexed by position, which is the
     audit kernel's layout: ``_rows[t][x]`` is w(x | t) or _UNDEFINED, and a
-    context with no entry has no row (None). ``table`` builds the (x,
-    context)-keyed dict the constructor takes on each access; no audit calls it.
+    context with no entry has no row (None). ``table`` is a read-only
+    (x, context)-keyed view of the rows, the mapping the constructor takes;
+    ``dict(w.table)`` is a mutable copy.
     ``_source`` holds, by position, the values of the valuation that
-    bivaluation_from_valuation divided into the rows, and ``_derived[t]``
-    whether row t is still the row it built, with one quotient object per
-    meet x ^ t; a bi-valuation built from a table has none, and ``_put``
-    clears the flag of the row it writes.
+    bivaluation_from_valuation derived the rows from, and ``_derived[t]``
+    whether row t is still the row it derived, with one quotient object per
+    meet x ^ t. Until something reads it, a derived row is an _Unbuilt,
+    which ``_row`` builds and keeps; a bi-valuation built from a table has
+    no derived row, and ``_put`` clears the flag of the row it writes.
     """
 
     def __init__(self, poset: Poset, table: Mapping[tuple[str, str], Value]):
@@ -480,17 +518,15 @@ class BiValuation:
         row[self.poset._pos[x]] = _UNDEFINED if value is None else value
 
     @property
-    def table(self) -> dict[tuple[str, str], Value]:
-        """Each (x, context) of the contexts with a row; None where undefined."""
-        ids, pos = self.poset.elements, self.poset._pos
-        in_id_order = _gather([pos[e] for e in ids])
-        return {(x, t): None if e is _UNDEFINED else e for t in self.contexts()
-                for x, e in zip(ids, in_id_order(self._rows[pos[t]]))}
+    def table(self) -> Mapping[tuple[str, str], Value]:
+        """Each (x, context) of the contexts with a row, contexts in id
+        order and x in id order within each; None where undefined."""
+        return _Table(self)
 
     def get(self, x: str, context: str):
         """Value of w(x | context), or None where undefined."""
         i, t = self.poset._pos.get(x), self.poset._pos.get(context)
-        row = None if i is None or t is None else self._rows[t]
+        row = None if i is None or t is None else _row(self._rows, t)
         return None if row is None or row[i] is _UNDEFINED else row[i]
 
     def value(self, x: str, context: str) -> Value:
@@ -502,38 +538,57 @@ class BiValuation:
         return found
 
     def contexts(self) -> list[str]:
-        return [t for t in self.poset.elements if self._rows[self.poset._pos[t]]]
+        return [t for t in self.poset.elements if self._rows[self.poset._pos[t]] is not None]
 
     def with_value(self, x: str, context: str, value: Value) -> "BiValuation":
         w = BiValuation(self.poset, {})  # shares every row but the one it changes
-        w._rows[:] = (row and list(row) if t == context else row
-                      for t, row in zip(self.poset._at, self._rows))
-        w._source, w._derived[:] = self._source, self._derived
+        w._rows[:], w._source, w._derived[:] = self._rows, self._source, self._derived
+        t = self.poset._pos.get(context)
+        if t is not None and w._rows[t] is not None:
+            w._rows[t] = list(_row(self._rows, t))
         w._put(x, context, value)
         return w
 
 
+class _Table(Mapping):
+    """A bi-valuation's ``table``: its rows as a read-only mapping from
+    (x, context) to w(x | context), or None where undefined. Its length
+    builds no row; reading an entry builds that entry's row."""
+
+    __slots__ = ("_w",)
+
+    def __init__(self, w: BiValuation):
+        self._w = w
+
+    def __len__(self) -> int:
+        return len(self._w.contexts()) * len(self._w.poset)
+
+    def __iter__(self):
+        ids = self._w.poset.elements
+        return ((x, t) for t in self._w.contexts() for x in ids)
+
+    def __getitem__(self, key):
+        pos = self._w.poset._pos
+        x, t = key if type(key) is tuple and len(key) == 2 else (None, None)
+        if x not in pos or t not in pos or self._w._rows[pos[t]] is None:
+            raise KeyError(key)
+        return self._w.get(x, t)
+
+
 def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
                                validate: bool = True) -> BiValuation:
-    """w(x | y) = v(x ^ y) / v(y), defined wherever v(y) > 0."""
+    """w(x | y) = v(x ^ y) / v(y), defined wherever v(y) > 0; each row is
+    divided on its first read."""
     if validate:
         audit = check_sum_rule(v, tol)
         if not audit.passed:
             raise ValueError(f"valuation fails the sum rule on "
                              f"{len(audit.violations)} pairs; cannot condition on it")
     p, w = v.poset, BiValuation(v.poset, {})
-    values = [v.values[x] for x in p._at]
-    # the meet table is symmetric, so its row y is its column y. Row y
-    # divides each value below y once and holds that quotient wherever the
-    # meet lands; every meet with y is below y, so no entry comes from an
-    # earlier row's quotients
-    quotient = [None] * len(p)
-    for t, (vy, meets, below) in enumerate(zip(values, _table(p, "meet"), _table(p, "down"))):
-        if vy > 0:
-            for m in below:
-                quotient[m] = values[m] / vy
-            w._rows[t], w._derived[t] = [quotient[m] for m in meets], True
-    w._source = values
+    values = w._source = [v.values[x] for x in p._at]
+    for t, vt in enumerate(values):
+        if vt > 0:
+            w._rows[t], w._derived[t] = _Unbuilt(p, values, t), True
     return w
 
 

@@ -213,9 +213,10 @@ def changed_quotient(w, t, x, delta):
     its stand-ins, but no row is proved."""
     changed = BiValuation(w.poset, {})
     changed._rows[:], changed._derived[:] = w._rows, w._derived
-    old = w._rows[t][x]
+    row = valuation._row(w._rows, t)
+    old = row[x]
     new = old + delta
-    changed._rows[t] = [new if e is old else e for e in w._rows[t]]
+    changed._rows[t] = [new if e is old else e for e in row]
     return changed
 
 
@@ -516,17 +517,20 @@ def test_built_rows_share_their_quotients_and_copied_rows_do_not():
     v = derive_valuation_from_atoms(lat, {"a": 0.1, "b": 0.2, "c": 0.7})
     w = bivaluation_from_valuation(v, validate=False)
     meet, top, ab = valuation._table(lat, "meet"), len(lat) - 1, lat._pos["{a,b}"]
+
+    def rows(u):
+        return [valuation._row(u._rows, t) for t in range(len(lat))]
     # each built row is derived and holds at x the very quotient it holds at
     # x ^ t; the bottom has measure 0 and no row
     assert w._derived == [False] + [True] * top
-    assert all(row[x] is row[m] for row, meets in zip(w._rows[1:], meet[1:])
+    assert all(row[x] is row[m] for row, meets in zip(rows(w)[1:], meet[1:])
                for x, m in enumerate(meets))
     # with_value copies the row it changes and clears its flag only; every
     # other row and flag is shared, and so is the source
     changed = w.with_value("{a}", "{a,b}", w.get("{a}", "{a,b}") + 0.5)
     assert [lat._at[t] for t, ok in enumerate(changed._derived) if not ok] == ["{}", "{a,b}"]
-    assert all(new is old for t, (new, old) in enumerate(zip(changed._rows, w._rows)) if t != ab)
-    assert changed._rows[ab] is not w._rows[ab] and changed._source is w._source
+    assert all(new is old for t, (new, old) in enumerate(zip(rows(changed), rows(w))) if t != ab)
+    assert rows(changed)[ab] is not rows(w)[ab] and changed._source is w._source
     # a hole clears its row's flag too, and w keeps its own
     holed = w.with_value("{c}", "{a,b}", None)
     assert [lat._at[t] for t, ok in enumerate(holed._derived) if not ok] == ["{}", "{a,b}"]
@@ -534,6 +538,48 @@ def test_built_rows_share_their_quotients_and_copied_rows_do_not():
     # a table copied from w has no derived row and no source
     copied = BiValuation(lat, w.table)
     assert copied._derived == [False] * len(lat) and copied._source is None
+
+
+def row_builds(monkeypatch):
+    """A list, filled as rows are built, of the position of each row built."""
+    built, build = [], valuation._build_row
+
+    def spy(unbuilt):
+        built.append(unbuilt.t)
+        return build(unbuilt)
+    monkeypatch.setattr(valuation, "_build_row", spy)
+    return built
+
+
+@pytest.mark.parametrize("kind", ["float", "fraction"])
+@pytest.mark.parametrize("name", ["B5", "D60"])
+def test_rows_are_built_only_when_read(monkeypatch, name, kind):
+    lat = REDUCED_LATTICES[name]
+    size, tol = len(lat.join_irreducibles()), valuation.DEFAULT_TOL
+    v = irreducible_sums(lat, [k / 16 if kind == "float" else Fraction(k, k + 2)
+                               for k in range(1, size + 1)])
+    built = row_builds(monkeypatch)
+    # the default audits are proved from the source values, and the
+    # table's length, the contexts and the proof read no row
+    w = derived(v)
+    reports = [check(w, tol) for check, _ in BIVALUATION_RULES]
+    assert len(w.table) == len(lat) * len(w.contexts()) == len(lat) * (len(lat) - 1)
+    assert valuation._proved(w, tol, modular=True)[1:] == [True] * (len(lat) - 1)
+    assert built == []
+    for report, (_, reference) in zip(reports, BIVALUATION_RULES):
+        assert_same_report(report, reference(w, tol))
+    # get builds the row it reads, once
+    x, t = lat.elements[1], lat.elements[-2]
+    w, built[:] = derived(v), []
+    w.get(x, t)
+    w.get(lat.elements[-1], t)
+    assert built == [lat._pos[t]]
+    # with_value builds the row it changes, and its copy holds that row built
+    w, built[:] = derived(v), []
+    changed = w.with_value(x, t, 1)
+    assert built == [lat._pos[t]]
+    assert changed.get(x, t) == 1 and changed.get(lat.elements[0], t) == w.get(lat.elements[0], t)
+    assert built == [lat._pos[t]]
 
 
 def test_audits_of_an_empty_poset_check_nothing():

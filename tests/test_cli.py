@@ -216,6 +216,24 @@ def test_rules_audit_needs_inputs(capsys):
     assert code == 2 and "rules audit needs" in err
 
 
+@pytest.mark.parametrize("first, second", [("--valuation", "--poset"), ("--valuation", "--atoms"),
+                                           ("--valuation", "--values"), ("--atoms", "--values")])
+def test_rules_audit_refuses_conflicting_valuation_flags(tmp_path, capsys, first, second):
+    # each flag of the pair is a source of the valuation, and one of them
+    # was ignored: each pair here ran the audit of the other and exited 0
+    poset_path, atoms_path = write_audit_inputs(tmp_path, {"a": 1, "b": 2, "c": 3})
+    (tmp_path / "partial.json").write_text(json.dumps({"{}": 0, "{a}": 1}))
+    (tmp_path / "val.json").write_text(json.dumps(
+        {"poset": "lat.json", "mode": "atoms", "values": {"a": 1, "b": 2, "c": 3}}))
+    files = {"--poset": poset_path, "--atoms": atoms_path,
+             "--values": str(tmp_path / "partial.json"), "--valuation": str(tmp_path / "val.json")}
+    pair = (first, second, "--poset") if first == "--atoms" else (first, second)
+    argv = [arg for flag in pair for arg in (flag, files[flag])]
+    code, out, err = invoke(capsys, "rules", "audit", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and first in err and second in err
+
+
 HUGE = 10 ** 400  # 401 digits, beyond the largest float
 
 

@@ -14,6 +14,7 @@ from ordinal import (BiValuation, LatticeMismatch, NegativeAtomValue, NotALattic
                      check_monotone, check_product_rule_for_lattice_product,
                      check_sum_rule, derive_valuation_from_atoms, divisor_lattice,
                      lattice_product, pair_id, parse_subset_id, partition_lattice)
+from ordinal import valuation
 
 WEIGHTS = {"a": 0.2, "b": 0.3, "c": 0.5}
 
@@ -273,6 +274,37 @@ def test_bivaluation_survives_a_round_trip_through_its_table(name):
             BiValuation(p, {key: 1})
         with pytest.raises(UnknownElement):
             w.with_value(*key, 1)
+
+
+# --- the table view ---
+
+def table_as_dict(w):
+    """The dict that ``table`` built on each access before it became a view."""
+    ids, pos = w.poset.elements, w.poset._pos
+    in_id_order = valuation._gather([pos[e] for e in ids])
+    return {(x, t): None if e is valuation._UNDEFINED else e for t in w.contexts()
+            for x, e in zip(ids, in_id_order(valuation._row(w._rows, pos[t])))}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_table_view_matches_the_dict_it_replaced(name):
+    p = LATTICES[name]()
+    w = bivaluation_from_valuation(mixed_valuation(p, seed=len(p)), validate=False)
+    live = w.contexts()[0]
+    holed = w.with_value(p.top(), live, None)
+    for u in (w, holed, BiValuation(p, holed.table)):
+        expected = table_as_dict(u)
+        assert dict(u.table) == expected and list(u.table) == list(expected)
+        assert u.table == expected and len(u.table) == len(expected)
+    assert holed.table[(p.top(), live)] is None and w.table[(p.top(), live)] is not None
+    # the bottom has measure 0, so it has no row
+    for key in ((p.top(), p.bottom()), ("nope", live), (live, "nope"), "nope", (live,)):
+        with pytest.raises(KeyError):
+            w.table[key]
+        assert key not in w.table
+    assert not hasattr(w.table, "__setitem__")
+    with pytest.raises(TypeError):
+        w.table[(p.top(), live)] = 1
 
 
 def test_bivaluation_of_b9_stays_small():
