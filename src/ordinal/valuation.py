@@ -46,10 +46,10 @@ same way, for their one row.
 On a distributive lattice an unproved derived row t still saves most of its
 n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
 holds at each x the object at x ^ t, so instance (t, x, y) reads the very
-objects of the pair class (x ^ t, y ^ t) below t, which stands in for it. At
-B_n about 5**n / 2 classes replace n**2 (n - 1) / 2 instances, tested in the
-row's arithmetic, so bit for bit; a failing class fails each instance it
-stands for, with its sides.
+objects of the pair class (x ^ t, y ^ t) below t. The row's one block
+tests those classes instead, in the row's arithmetic, so bit for bit: over
+the 2**k rows of B_k, (5**k - 3**k) / 2 classes for 2**k C(2**k, 2)
+instances. A failing class fails each instance in it, with its sides.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, product, repeat
-from operator import countOf, is_, itemgetter, mul, not_, sub
+from operator import countOf, is_, mul, not_, sub
 from typing import Union
 
 from ._record import Record, set_field
@@ -180,8 +180,7 @@ def _empty(raw) -> set[int]:
             if type(row) is not _Unbuilt and all(map(is_, row or (), repeat(_UNDEFINED)))}
 
 
-def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
-            proof=None) -> RuleReport:
+def _kernel(rule, tol, p, raw, blocks, block, found, signed=False, *, proved) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
     ``raw[t][x]`` is the value at the element in position x in the context
@@ -197,18 +196,15 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
     ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
     their scale, on the exact rows in integers (row t times scale[t], the
     lcm of its denominators, scaled when a block first reads it) or on raw
-    at scale 1. ``instance(key, k)`` gives the positions of the block's
-    k-th instance and its two sides on raw, with the block's operands in
-    the block's order; it runs only for the instances that violate, so no
-    block is evaluated a second time.
-    ``proof``, if given, is a stand-in block function, the rows it may
-    stand on (a bool per row) and an ``expand`` function. The caller
-    vouches that each instance of a block reading only such rows has the
-    operands and operations of an instance of the block's stand-in, which
-    decides it: the block has no hole, so all of its instances count as
-    checked, and ``expand(key, failing)`` yields the positions and raw
-    sides of each instance of the block that stands on one of the
-    stand-in's violating instances ``failing``.
+    at scale 1. Each difference decides one instance, or a class of
+    instances that read the very same objects; the caller vouches that
+    such a class holds no hole and that the differences it leaves out,
+    none where every difference is an instance, cannot violate. So an
+    evaluated block checks its instances but the undefined ones, which it
+    skips. ``found(key, ks)`` yields the positions and raw sides, with the
+    block's operands in the block's order, of each instance that the
+    violating differences ks decide; it runs only for a block that fails,
+    so no block is evaluated a second time.
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
@@ -217,9 +213,8 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
     rows, scale, ones, inexact = [None] * len(raw), [1] * len(raw), [1] * len(raw), set()
     unread = set(range(len(raw)))
 
-    def differences(sides, key, reads):
-        """lhs - rhs of the block that sides(rows, scale, key) gives, and
-        the bound their sizes must keep."""
+    def differences(key, reads):
+        """lhs - rhs of the block key, and the bound their sizes must keep."""
         if not unread.isdisjoint(reads):  # each row is built, and scaled if exact, on first read
             for t in unread.intersection(reads):
                 row = _row(raw, t)
@@ -231,49 +226,33 @@ def _kernel(rule, tol, p, raw, blocks, block, instance, signed=False, *, proved,
                     inexact.add(t)
             unread.difference_update(reads)
         if inexact.isdisjoint(reads):
-            lhs, rhs, s = sides(rows, scale, key)
+            lhs, rhs, s = block(rows, scale, key)
             return list(map(sub, lhs, rhs)), num * s // den
-        lhs, rhs, _ = sides(raw, ones, key)
+        lhs, rhs, _ = block(raw, ones, key)
         return list(map(sub, lhs, rhs)), tol
 
-    def fits(diffs, above):
-        # a NaN never violates: max and min skip it, unless it comes first,
-        # and then the test fails and violating() decides
-        return max(diffs) <= above and (signed or -above <= min(diffs))
-
-    def violating(diffs, above):
-        return [k for k, d in enumerate(diffs)
-                if d is not _UNDEFINED and (d if signed else abs(d)) > above]
-
-    stand_in, sound, expand = proof or (None, (), None)
-    unsound = set(compress(count(), map(not_, sound)))
     checked = skipped = 0
     violations = []
-
-    def report(found):
-        for positions, a, b in found:
-            ids = tuple(map(p._at.__getitem__, positions))
-            violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
-
     for key, reads, size in blocks:
         if settled.isdisjoint(reads):
             checked += size
         elif not size or not empty.isdisjoint(reads):
             skipped += size
-        elif stand_in and unsound.isdisjoint(reads):
-            diffs, above = differences(stand_in, key, reads)
-            checked += size
-            if not fits(diffs, above):
-                report(expand(key, violating(diffs, above)))
         else:
-            diffs, above = differences(block, key, reads)
-            if fits(diffs, above):
-                checked += len(diffs)
-            else:
-                undefined = countOf(diffs, _UNDEFINED)
-                skipped += undefined
-                checked += len(diffs) - undefined
-                report(instance(key, k) for k in violating(diffs, above))
+            diffs, above = differences(key, reads)
+            # a NaN never violates: max and min skip it, unless it comes
+            # first, and then the test fails and the scan below decides
+            if not diffs or max(diffs) <= above and (signed or -above <= min(diffs)):
+                checked += size
+                continue
+            undefined = countOf(diffs, _UNDEFINED)
+            skipped += undefined
+            checked += size - undefined
+            failing = [k for k, d in enumerate(diffs)
+                       if d is not _UNDEFINED and (d if signed else abs(d)) > above]
+            for positions, a, b in found(key, failing):
+                ids = tuple(map(p._at.__getitem__, positions))
+                violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
     return build_report(rule, checked, tol, violations, skipped)
 
 
@@ -291,13 +270,6 @@ def _build_table(p: Poset, kind: str) -> list[list[int]]:
     c = p._require_lattice()  # meets intersect extents, joins intents
     masks, owner = (c.intent, c.by_intent) if kind == "join" else (c.extent, c.by_extent)
     return [[owner[a & b] for b in masks] for a in masks]
-
-
-def _gather(indices):
-    """A function from a row to its values at indices, in order."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda row: [row[i] for i in indices]
 
 
 def _times(stream, s):
@@ -356,66 +328,63 @@ def _modular(p: Poset, values) -> int:
                if e != base + sum(map(steps.__getitem__, _bits(mask))))
 
 
-def _pairs(d, skip):
-    """The function from k to the k-th pair (a, b) of d, b at least skip
-    places after a, as the sum rule lists them; and the number of pairs."""
-    starts = list(accumulate(range(len(d) - skip, 0, -1), initial=0))  # pairs before a = d[i]
+def _pairs(d):
+    """The function from k to the k-th pair (a, b) of d, a before b, as the
+    sum rule lists them."""
+    starts = list(accumulate(range(len(d) - 1, 0, -1), initial=0))  # pairs before a = d[i]
 
     def pair(k):
         i = bisect_right(starts, k) - 1
-        return d[i], d[i + skip + k - starts[i]]
-    return pair, starts[-1]
+        return d[i], d[i + 1 + k - starts[i]]
+    return pair
 
 
 def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> RuleReport:
     """The sum rule in each context row; instances (x, y) or (t, x, y), ids x < y.
 
-    Given ``sound``, a bool per row on a distributive lattice, each sound
-    row t is diamond-exact and stands on its pair classes: the instance
-    (t, x, y) reads the very objects of class (x ^ t, y ^ t), because row t
-    holds at x v y what it holds at (x v y) ^ t = (x ^ t) v (y ^ t), and at
-    x ^ y what it holds at (x ^ t) ^ (y ^ t). The right side adds the pair
-    in either order, and addition is commutative, in IEEE floats too. So a
-    failing class (a, b) fails each instance with x ^ t = a, y ^ t = b and
-    x != y, with the class's sides.
+    Row t's block (t, d) tests the pairs (a, b) of d, a before b. d lists
+    every id, so that each pair is an instance, unless ``sound``, a bool per
+    row on a distributive lattice, says row t is diamond-exact. Then d is
+    t's down-set and each pair is a class: the instance (t, x, y) reads the
+    very objects of class (x ^ t, y ^ t), because row t holds at x v y what
+    it holds at (x v y) ^ t = (x ^ t) v (y ^ t), and at x ^ y what it holds
+    at (x ^ t) ^ (y ^ t). The right side adds the pair in either order, and
+    addition is commutative, in IEEE floats too. A class (a, a) compares a
+    sum with itself and never fails, so it is not listed, and a failing
+    class (a, b) fails each instance with x ^ t = a and y ^ t = b, with the
+    class's sides.
     """
-    n = len(p)
-    blocks = (((t,), (t,), n * (n - 1) // 2) for t in contexts)
+    n, ids = len(p), [p._pos[e] for e in p.elements]
+    over = ([ids] * len(raw) if sound is None else
+            [down if ok else ids for down, ok in zip(_table(p, "down"), sound)])
+    blocks = (((t, over[t]), (t,), n * (n - 1) // 2) for t in contexts)
 
-    def sides(row, d, skip):
+    def sides(row, d):
         """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
-        d, b at least skip places after a, made one list per a: d is every id
-        for block (t,), the down-set of t for its stand-in, or one pair."""
+        d, a before b, made one list per a."""
         join, meet = _table(p, "join"), _table(p, "meet")
-        firsts = zip(count(), map(join.__getitem__, d), map(meet.__getitem__, d))
-        return (chain.from_iterable([row[join_a[b]] + row[meet_a[b]] for b in d[i + skip:]]
+        firsts = zip(count(1), map(join.__getitem__, d), map(meet.__getitem__, d))
+        return (chain.from_iterable([row[join_a[b]] + row[meet_a[b]] for b in d[i:]]
                                     for i, join_a, meet_a in firsts),
-                chain.from_iterable([at_a + row[b] for b in d[i + skip:]]
-                                    for i, at_a in enumerate(map(row.__getitem__, d))))
+                chain.from_iterable([at_a + row[b] for b in d[i:]]
+                                    for i, at_a in enumerate(map(row.__getitem__, d), 1)))
 
-    def block(over, skip):  # block (t,) over the pairs of over(t)
-        return lambda rows, scale, key: (*sides(rows[key[0]], over(key[0]), skip), scale[key[0]])
-    ids = [p._pos[e] for e in p.elements]
-    pair, _ = _pairs(ids, 1)
+    def block(rows, scale, key):
+        t, d = key
+        return (*sides(rows[t], d), scale[t])
 
-    def instance(key, k):
-        (t,), (x, y) = key, pair(k)
-        return ((x, y) if rule == "sum" else (t, x, y), *map(next, sides(raw[t], (x, y), 1)))
-
-    def expand(key, failing):
-        (t,) = key
-        row, fiber, (pair_class, _) = raw[t], {}, _pairs(_table(p, "down")[t], 0)
-        for x, m in enumerate(_table(p, "meet")[t]):  # the x with x ^ t = m
+    def found(key, ks):
+        t, d = key
+        row, pair, fiber = raw[t], _pairs(d), {}
+        # fiber[m] holds the x with x ^ t = m, or m alone when d is every id
+        for x, m in enumerate(range(n) if d is ids else _table(p, "meet")[t]):
             fiber.setdefault(m, []).append(x)
-        # a class (a, a) compares a sum with itself and never fails, so
-        # a != b, and each pair from the two fibers is one instance
-        for a, b in map(pair_class, failing):
-            lhs, rhs = map(next, sides(row, (a, b), 1))
+        for a, b in map(pair, ks):
+            lhs, rhs = map(next, sides(row, (a, b)))
             for x, y in product(fiber[a], fiber[b]):
-                yield (t, x, y) if p._at[x] < p._at[y] else (t, y, x), lhs, rhs
-    proof = None if sound is None else (block(lambda t: _table(p, "down")[t], 0), sound, expand)
-    return _kernel(rule, tol, p, raw, blocks, block(lambda t: ids, 1), instance,
-                   proved=proved, proof=proof)
+                x, y = (x, y) if p._at[x] < p._at[y] else (y, x)
+                yield (x, y) if rule == "sum" else (t, x, y), lhs, rhs
+    return _kernel(rule, tol, p, raw, blocks, block, found, proved=proved)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -454,10 +423,10 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     def block(rows, scale, y):
         return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y]), scale[0]
 
-    def instance(y, k):
-        x = _table(p, "down")[y][k]
-        return (x, y), row[x], row[y]
-    return _kernel("monotone", tol, p, [row], blocks, block, instance, signed=True,
+    def found(y, ks):
+        for x in map(_table(p, "down")[y].__getitem__, ks):
+            yield (x, y), row[x], row[y]
+    return _kernel("monotone", tol, p, [row], blocks, block, found, signed=True,
                    proved=[proved])
 
 
@@ -509,9 +478,13 @@ class BiValuation:
             self._put(x, context, value)
 
     def _put(self, x: str, y: str, value: Value) -> None:
-        """Set w(x | y) in place, giving context y a row if it has none."""
+        """Set w(x | y) in place, giving context y a row if it has none. A NaN
+        is refused, as no audit could fail it; an infinity is kept, as a
+        derived quotient can overflow to one."""
         if x not in self.poset or y not in self.poset:
             raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) is not in the poset")
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"bi-valuation key ({x!r}, {y!r}) has value NaN")
         t = self.poset._pos[y]
         self._derived[t] = False
         row = self._rows[t] = self._rows[t] or [_UNDEFINED] * len(self.poset)
@@ -632,15 +605,15 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
 
     def block(rows, scale, key):
         z, y = key
-        below = _gather(down[y])
-        return (_times(below(rows[z]), scale[y]),
-                map(mul, below(rows[y]), repeat(rows[z][y])), scale[z] * scale[y])
+        return (_times(map(rows[z].__getitem__, down[y]), scale[y]),
+                map(mul, map(rows[y].__getitem__, down[y]), repeat(rows[z][y])),
+                scale[z] * scale[y])
 
-    def instance(key, k):
+    def found(key, ks):
         z, y = key
-        x = down[y][k]
-        return (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
-    return _kernel("chain", tol, p, raw, blocks, block, instance, proved=_proved(w, tol))
+        for x in map(down[y].__getitem__, ks):
+            yield (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
+    return _kernel("chain", tol, p, raw, blocks, block, found, proved=_proved(w, tol))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -649,7 +622,7 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     n = len(p)
     return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
                    lambda rows, scale, x: (rows[x], map(rows[x].__getitem__, meet[x]), scale[x]),
-                   lambda x, y: ((x, y), raw[x][y], raw[x][meet[x][y]]),
+                   lambda x, ys: (((x, y), raw[x][y], raw[x][meet[x][y]]) for y in ys),
                    proved=_proved(w, tol))
 
 
@@ -667,17 +640,18 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
         return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
 
-    def instance(key, z):
+    def found(key, zs):
         x, y = key
-        return (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
-    return _kernel("context", tol, p, raw, blocks, block, instance, proved=_proved(w, tol))
+        for z in zs:
+            yield (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
+    return _kernel("context", tol, p, raw, blocks, block, found, proved=_proved(w, tol))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y).
 
-    Only a distributive lattice proves a row or gives it a stand-in, and
-    there every derived row is diamond-exact."""
+    Only a distributive lattice proves a row or tests it on its pair
+    classes, and there every derived row is diamond-exact."""
     p, contexts = w.poset, [t for t, row in enumerate(w._rows) if row is not None]
     if not _distributive(p):
         return _sum_rule("bisum", p, w._rows, contexts, tol, [False] * len(p))

@@ -209,6 +209,22 @@ def test_bivaluation_value_of_an_unknown_element(wb3):
         assert wb3.get(*key) is None
 
 
+def test_bivaluation_refuses_nan_and_keeps_infinity(b3, wb3):
+    # a NaN entry would pass every audit that reads it
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"\('\{a\}', '\{b\}'\) has value NaN"):
+        wb3.with_value("{a}", "{b}", nan)
+    with pytest.raises(ValueError, match=r"\('\{c\}', '\{a,c\}'\) has value NaN"):
+        BiValuation(b3, {("{a}", "{a}"): 1.0, ("{c}", "{a,c}"): nan})
+    # a derived quotient can overflow to inf, and a copy of the table keeps it
+    p = chain_poset("ab")
+    w = bivaluation_from_valuation(Valuation(p, {"a": 1e308, "b": 1e-10}), validate=False)
+    assert w.get("a", "b") == math.inf
+    copied = BiValuation(p, w.table)
+    assert copied.get("a", "b") == math.inf and dict(copied.table) == dict(w.table)
+    assert wb3.with_value("{a}", "{b}", -math.inf).get("{a}", "{b}") == -math.inf
+
+
 def test_bivaluation_normalization(vb3, wb3):
     top = vb3.poset.top()
     bottom = vb3.poset.bottom()
@@ -280,10 +296,10 @@ def test_bivaluation_survives_a_round_trip_through_its_table(name):
 
 def table_as_dict(w):
     """The dict that ``table`` built on each access before it became a view."""
-    ids, pos = w.poset.elements, w.poset._pos
-    in_id_order = valuation._gather([pos[e] for e in ids])
-    return {(x, t): None if e is valuation._UNDEFINED else e for t in w.contexts()
-            for x, e in zip(ids, in_id_order(valuation._row(w._rows, pos[t])))}
+    pos = w.poset._pos
+    rows = {t: valuation._row(w._rows, pos[t]) for t in w.contexts()}
+    return {(x, t): None if row[pos[x]] is valuation._UNDEFINED else row[pos[x]]
+            for t, row in rows.items() for x in w.poset.elements}
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
