@@ -38,10 +38,11 @@ row. On derived rows the rules are identities: the chain and context rules
 multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads one quotient on
 both sides, and row t's sum rule is v's sum rule below t over v(t). So
 ``_proved`` names the rows on which no instance can violate, from v's values
-alone, and the kernel counts a block that reads only such rows, with one set
-test; a proved audit builds no row. The sum rule of exact values and the
-monotone audit of values that do not fall along any cover are proved the
-same way, for their one row.
+alone. The kernel walks only the blocks that read a row it does not name;
+each rule counts its instances in closed form from the set of empty rows,
+so a proved audit builds no row and no table. The sum rule of exact values
+and the monotone audit of values that do not fall along any cover are
+proved the same way, for their one row.
 
 On a distributive lattice an unproved derived row t still saves most of its
 n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
@@ -55,10 +56,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, compress, count, product, repeat
-from operator import countOf, is_, mul, not_, sub
+from operator import countOf, is_, mul, not_, or_, sub
 from typing import Union
 
 from ._record import Record, set_field
@@ -180,19 +182,29 @@ def _empty(raw) -> set[int]:
             if type(row) is not _Unbuilt and all(map(is_, row or (), repeat(_UNDEFINED)))}
 
 
-def _kernel(rule, tol, p, raw, blocks, block, found, signed=False, *, proved) -> RuleReport:
+def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
+            proved) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
     ``raw[t][x]`` is the value at the element in position x in the context
     in position t, or _UNDEFINED, and a row of None is empty. An _Unbuilt
-    row is built on a block's first read of it, so a row that only
-    counted blocks read is never built.
-    ``blocks`` yields each block's key, the context rows it reads and its
-    number of instances; every instance reads each of those rows, so a
-    block reading a row with no defined value is skipped whole.
+    row is built on a block's first read of it, so a row that no evaluated
+    block reads is never built.
+    Each block has a key, the context rows it reads and a number of
+    instances; every instance reads each of those rows, so a block reading
+    a row with no defined value is skipped whole. ``counts(empty)`` gives
+    the rule's number of instances and the number in blocks that read no
+    row of ``empty``, the set of empty rows.
     ``proved`` has a bool per row: the caller vouches that a proved row
     holds no hole and that no instance of a block reading only proved rows
     violates, so such a block counts as checked and is not evaluated.
+    ``blocks(unproved)`` yields, once each and in key order, the key, reads
+    and size of each block that reads a row of ``unproved``, the non-empty
+    rows that are not proved. Only those blocks are evaluated: with no row
+    proved, every block that reads a non-empty row. So checked is the
+    number of instances in blocks that read no empty row less the
+    undefined instances of the evaluated blocks, and skipped is the rest
+    of the total.
     ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
     their scale, on the exact rows in integers (row t times scale[t], the
     lcm of its denominators, scaled when a block first reads it) or on raw
@@ -209,7 +221,8 @@ def _kernel(rule, tol, p, raw, blocks, block, found, signed=False, *, proved) ->
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
     empty = _empty(raw)
-    settled = empty.union(compress(count(), map(not_, proved)))
+    total, checked = counts(empty)
+    unproved = set(compress(count(), map(not_, proved))).difference(empty)
     rows, scale, ones, inexact = [None] * len(raw), [1] * len(raw), [1] * len(raw), set()
     unread = set(range(len(raw)))
 
@@ -231,29 +244,27 @@ def _kernel(rule, tol, p, raw, blocks, block, found, signed=False, *, proved) ->
         lhs, rhs, _ = block(raw, ones, key)
         return list(map(sub, lhs, rhs)), tol
 
-    checked = skipped = 0
     violations = []
-    for key, reads, size in blocks:
-        if settled.isdisjoint(reads):
-            checked += size
-        elif not size or not empty.isdisjoint(reads):
-            skipped += size
-        else:
-            diffs, above = differences(key, reads)
-            # a NaN never violates: max and min skip it, unless it comes
-            # first, and then the test fails and the scan below decides
-            if not diffs or max(diffs) <= above and (signed or -above <= min(diffs)):
-                checked += size
-                continue
-            undefined = countOf(diffs, _UNDEFINED)
-            skipped += undefined
-            checked += size - undefined
-            failing = [k for k, d in enumerate(diffs)
-                       if d is not _UNDEFINED and (d if signed else abs(d)) > above]
-            for positions, a, b in found(key, failing):
-                ids = tuple(map(p._at.__getitem__, positions))
-                violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
-    return build_report(rule, checked, tol, violations, skipped)
+    for key, reads, size in blocks(unproved):
+        if not size or not empty.isdisjoint(reads):
+            continue  # skipped whole, as counts says
+        diffs, above = differences(key, reads)
+        # a NaN never violates: max and min skip it, unless it comes
+        # first, and then the test fails and the scan below decides
+        if not diffs or max(diffs) <= above and (signed or -above <= min(diffs)):
+            continue
+        checked -= countOf(diffs, _UNDEFINED)
+        failing = [k for k, d in enumerate(diffs)
+                   if d is not _UNDEFINED and (d if signed else abs(d)) > above]
+        for positions, a, b in found(key, failing):
+            ids = tuple(map(p._at.__getitem__, positions))
+            violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
+    return build_report(rule, checked, tol, violations, total - checked)
+
+
+def _above(p: Poset, rows) -> Iterable[int]:
+    """The positions at or above any of rows, in increasing order."""
+    return _bits(reduce(or_, map(p._up_t.__getitem__, rows), 0))
 
 
 def _table(p: Poset, kind: str) -> list[list[int]]:
@@ -355,9 +366,15 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> Ru
     class's sides.
     """
     n, ids = len(p), [p._pos[e] for e in p.elements]
-    over = ([ids] * len(raw) if sound is None else
-            [down if ok else ids for down, ok in zip(_table(p, "down"), sound)])
-    blocks = (((t, over[t]), (t,), n * (n - 1) // 2) for t in contexts)
+    size = n * (n - 1) // 2
+
+    def counts(empty):
+        return len(contexts) * size, sum(t not in empty for t in contexts) * size
+
+    def blocks(unproved):
+        for t in contexts:
+            if t in unproved:
+                yield (t, _table(p, "down")[t] if sound and sound[t] else ids), (t,), size
 
     def sides(row, d):
         """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
@@ -384,7 +401,7 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> Ru
             for x, y in product(fiber[a], fiber[b]):
                 x, y = (x, y) if p._at[x] < p._at[y] else (y, x)
                 yield (x, y) if rule == "sum" else (t, x, y), lhs, rhs
-    return _kernel(rule, tol, p, raw, blocks, block, found, proved=proved)
+    return _kernel(rule, tol, p, raw, counts, blocks, block, found, proved=proved)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -417,8 +434,14 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     pair passes at any tolerance, and the audit is counted from the
     down-set sizes."""
     p, row = v.poset, _valuation_row(v)
-    blocks = ((y, (0,), mask.bit_count() - 1) for y, mask in enumerate(p._down_t))
+    sizes = [mask.bit_count() - 1 for mask in p._down_t]
     proved = bool(_quotient_kind(row)) and all(v.values[a] <= v.values[b] for a, b in p.covers)
+
+    def counts(empty):
+        return sum(sizes), 0 if empty else sum(sizes)
+
+    def blocks(unproved):
+        return ((y, (0,), size) for y, size in enumerate(sizes) if unproved)
 
     def block(rows, scale, y):
         return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y]), scale[0]
@@ -426,7 +449,7 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     def found(y, ks):
         for x in map(_table(p, "down")[y].__getitem__, ks):
             yield (x, y), row[x], row[y]
-    return _kernel("monotone", tol, p, [row], blocks, block, found, signed=True,
+    return _kernel("monotone", tol, p, [row], counts, blocks, block, found, signed=True,
                    proved=[proved])
 
 
@@ -551,13 +574,16 @@ class _Table(Mapping):
 def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
                                validate: bool = True) -> BiValuation:
     """w(x | y) = v(x ^ y) / v(y), defined wherever v(y) > 0; each row is
-    divided on its first read."""
+    divided on its first read. The rows are read through meets, so v's
+    poset is certified as a lattice here: a proved audit counts a derived
+    row without reading it."""
     if validate:
         audit = check_sum_rule(v, tol)
         if not audit.passed:
             raise ValueError(f"valuation fails the sum rule on "
                              f"{len(audit.violations)} pairs; cannot condition on it")
     p, w = v.poset, BiValuation(v.poset, {})
+    p._require_lattice()
     values = w._source = [v.values[x] for x in p._at]
     for t, vt in enumerate(values):
         if vt > 0:
@@ -599,52 +625,107 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(x|z) = w(x|y) * w(y|z) over all chains x <= y <= z; block
-    (z, y) runs over the x below y."""
-    p, raw, down = w.poset, w._rows, _table(w.poset, "down")
-    blocks = (((z, y), (z, y), len(down[y])) for z in range(len(p)) for y in down[z])
+    (z, y) reads rows z and y, and x runs over the elements below y."""
+    p, raw = w.poset, w._rows
+
+    def counts(empty):
+        gone = sum(1 << t for t in empty)
+        return (sum(d.bit_count() * u.bit_count() for d, u in zip(p._down_t, p._up_t)),
+                sum(d.bit_count() * (u & ~gone).bit_count()
+                    for y, (d, u) in enumerate(zip(p._down_t, p._up_t)) if y not in empty))
+
+    def blocks(unproved):
+        # (u, y) for each y <= u, and (z, u) for each z >= u, for each u in unproved
+        for z in _above(p, unproved):
+            down = _table(p, "down")
+            for y in down[z] if z in unproved else [y for y in down[z] if y in unproved]:
+                yield (z, y), (z, y), len(down[y])
 
     def block(rows, scale, key):
         z, y = key
-        return (_times(map(rows[z].__getitem__, down[y]), scale[y]),
-                map(mul, map(rows[y].__getitem__, down[y]), repeat(rows[z][y])),
+        down_y = _table(p, "down")[y]
+        return (_times(map(rows[z].__getitem__, down_y), scale[y]),
+                map(mul, map(rows[y].__getitem__, down_y), repeat(rows[z][y])),
                 scale[z] * scale[y])
 
     def found(key, ks):
         z, y = key
-        for x in map(down[y].__getitem__, ks):
+        for x in map(_table(p, "down")[y].__getitem__, ks):
             yield (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
-    return _kernel("chain", tol, p, raw, blocks, block, found, proved=_proved(w, tol))
+    return _kernel("chain", tol, p, raw, counts, blocks, block, found, proved=_proved(w, tol))
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
-    """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y)."""
-    p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
-    n = len(p)
-    return _kernel("diamond", tol, p, raw, ((x, (x,), n) for x in range(n)),
-                   lambda rows, scale, x: (rows[x], map(rows[x].__getitem__, meet[x]), scale[x]),
-                   lambda x, ys: (((x, y), raw[x][y], raw[x][meet[x][y]]) for y in ys),
-                   proved=_proved(w, tol))
+    """Audit w(y|x) = w(x ^ y | x) over all pairs; instances are (x, y), and
+    block x reads row x."""
+    p, raw, n = w.poset, w._rows, len(w.poset)
+    p._require_lattice()
+
+    def block(rows, scale, x):
+        return rows[x], map(rows[x].__getitem__, _table(p, "meet")[x]), scale[x]
+
+    def found(x, ys):
+        meet_x = _table(p, "meet")[x]
+        return (((x, y), raw[x][y], raw[x][meet_x[y]]) for y in ys)
+    return _kernel("diamond", tol, p, raw, lambda empty: (n * n, n * (n - len(empty))),
+                   lambda unproved: ((x, (x,), n) for x in sorted(unproved)),
+                   block, found, proved=_proved(w, tol))
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit w(y ^ z | x) = w(z | x ^ y) * w(y | x) over all ordered
     triples; block (x, y) reads rows x and x ^ y, and z runs over all
     elements."""
-    p, raw, meet = w.poset, w._rows, _table(w.poset, "meet")
-    n = len(p)
-    blocks = (((x, y), (x, meet[x][y]), n) for x, y in product(range(n), repeat=2))
+    p, raw, n = w.poset, w._rows, len(w.poset)
+    c = p._require_lattice()
+
+    def counts(empty):
+        """n**3 instances, and n in each block (x, y) with neither x nor
+        x ^ y in empty. When empty is the down-set of its last position e,
+        x ^ y <= e iff ext(x) & ext(y) <= ext(e), as the extent of a meet is
+        the intersection of the extents. So the y with x ^ y not in empty
+        are those whose extent meets ext(x) - ext(e): the union of the
+        up-sets of those join-irreducibles, on any lattice. On a
+        distributive lattice the other y are the down-set of x -> e, the
+        relative pseudocomplement (Davey & Priestley, Introduction to
+        Lattices and Order). Any other empty set is counted on the meet
+        rows."""
+        if not empty:
+            return n ** 3, n ** 3
+        e = max(empty)
+        if p._down_t[e] == sum(1 << t for t in empty):
+            j_ups = [p._up_t[j] for j in c.join_irreducibles]
+            kept = sum(reduce(or_, map(j_ups.__getitem__, _bits(c.extent[x] & ~c.extent[e])),
+                              0).bit_count() for x in range(n) if x not in empty)
+        else:
+            flags = bytes(t in empty for t in range(n))
+            kept = sum(n - sum(map(flags.__getitem__, meet_x))
+                       for x, meet_x in enumerate(_table(p, "meet")) if x not in empty)
+        return n ** 3, n * kept
+
+    def blocks(unproved):
+        # (u, y) for each y, and (x, y) for each x >= u with x ^ y = u, for each
+        # u in unproved
+        for x in _above(p, unproved):
+            meet_x = _table(p, "meet")[x]
+            for y in range(n) if x in unproved else [y for y, m in enumerate(meet_x)
+                                                     if m in unproved]:
+                yield (x, y), (x, meet_x[y]), n
 
     def block(rows, scale, key):
         x, y = key
+        meet = _table(p, "meet")
         xy = meet[x][y]
         return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
 
     def found(key, zs):
         x, y = key
+        meet = _table(p, "meet")
         for z in zs:
             yield (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
-    return _kernel("context", tol, p, raw, blocks, block, found, proved=_proved(w, tol))
+    return _kernel("context", tol, p, raw, counts, blocks, block, found,
+                   proved=_proved(w, tol))
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:

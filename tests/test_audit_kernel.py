@@ -160,6 +160,14 @@ def test_chain_rule_on_a_poset_that_is_not_a_lattice(bowtie):
             assert_same_report(check_chain_rule(w, tol), ref.check_chain_rule(w, tol))
 
 
+def test_a_bivaluation_derived_on_a_poset_that_is_not_a_lattice_is_refused(bowtie):
+    # its rows hold meets, which the bowtie lacks; with every row proved
+    # from the values, the audits would count rows that cannot be read
+    v = Valuation(bowtie, {"p": 1, "q": 1, "r": 2, "s": 2})
+    with pytest.raises(ordinal.NotALattice, match="witness pair"):
+        bivaluation_from_valuation(v, validate=False)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_monotone_on_a_poset_that_is_not_a_lattice(bowtie, data):
@@ -293,6 +301,48 @@ def test_proved_audits_match_reference_loops(case, tol, data):
     assert_audits_agree(v, w, tol)
 
 
+def empty_rows_case(lat, case):
+    """A Fraction valuation on lat, so that every derived row is proved at
+    tolerance 0, whose empty rows, the t with v(t) <= 0, are: none; the
+    down-set of the bottom or of a middle element, v(x) counting the
+    join-irreducibles below x but not below e; or not an ideal, the top
+    at 0 and a middle element negative above a bottom with measure."""
+    extent, n = lat._require_lattice().extent, len(lat)
+    e = {"ideal of the bottom": 0, "ideal of a middle element": n // 2}.get(case)
+    if e is None:
+        values = [Fraction(1 + ext.bit_count(), 3) for ext in extent]
+        if case == "not an ideal":
+            values[n - 1], values[n // 2] = Fraction(0), values[n // 2] - 2
+    else:
+        values = [Fraction((ext & ~extent[e]).bit_count(), 3) for ext in extent]
+    return Valuation(lat, dict(zip(lat._at, values)))
+
+
+EMPTY_ROWS = ["none", "ideal of the bottom", "ideal of a middle element", "not an ideal",
+              "with_value"]
+
+
+@pytest.mark.parametrize("case", EMPTY_ROWS)
+@pytest.mark.parametrize("name", sorted(REDUCED_LATTICES))
+def test_closed_form_counts_match_reference_loops(monkeypatch, name, case):
+    # a fresh lattice, so that no table is left from another test
+    lat = build_poset(REDUCED_LATTICES[name].elements, REDUCED_LATTICES[name].covers)
+    v = empty_rows_case(lat, "ideal of the bottom" if case == "with_value" else case)
+    w = derived(v)
+    if case == "with_value":  # one unproved row, whose blocks the kernel walks
+        w = w.with_value(lat._at[0], lat._at[len(lat) // 2], Fraction(1, 2))
+    built, build = [], valuation._build_table
+    monkeypatch.setattr(valuation, "_build_table",
+                        lambda p, kind: built.append(kind) or build(p, kind))
+    for check in (check_chain_rule, check_diamond_lemma, check_context_product_rule):
+        check(w, 0)
+    # on proved rows the counts need no table, but for an empty set that is
+    # not a down-set with a top, whose context count reads the meet rows
+    if case != "with_value":
+        assert built == (["meet"] if case == "not an ideal" else [])
+    assert_audits_agree(v, w, 0)
+
+
 def rounding_bound(v):
     """2**-49 M, M = max |v| / min {v(t) > 0}: the least tolerance at which
     the rules of float quotients are proved, not evaluated."""
@@ -340,11 +390,11 @@ def kernel_blocks(monkeypatch):
     pair classes, which stand in for the instances."""
     ran, kernel = {}, valuation._kernel
 
-    def spy(rule, tol, p, raw, blocks, block, *rest, **options):
+    def spy(rule, tol, p, raw, counts, blocks, block, *rest, **options):
         reads = {}  # by the key's identity, as a bisum key holds a list
 
-        def listed():
-            for key, rows, size in blocks:
+        def listed(unproved):
+            for key, rows, size in blocks(unproved):
                 reads[id(key)] = rows
                 yield key, rows, size
 
@@ -352,7 +402,7 @@ def kernel_blocks(monkeypatch):
             kind = "stand-in" if pair_classes(rule, p, key) else "block"
             ran.setdefault(rule, []).append((kind, reads[id(key)]))
             return block(rows, scale, key)
-        return kernel(rule, tol, p, raw, listed(), evaluate, *rest, **options)
+        return kernel(rule, tol, p, raw, counts, listed, evaluate, *rest, **options)
     monkeypatch.setattr(valuation, "_kernel", spy)
     return ran
 
@@ -428,15 +478,17 @@ def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
     assert valuation._distributive(lat) == (name in DISTRIBUTIVE)
     handed, tested, kernel = [], [], valuation._kernel
 
-    def spy(rule, tol, p, raw, blocks, block, *rest, **options):
-        keys = list(blocks)
-        handed.append(any(pair_classes(rule, p, key) for key, _, _ in keys))
+    def spy(rule, tol, p, raw, counts, blocks, block, *rest, **options):
+        def listed(unproved):
+            keys = list(blocks(unproved))
+            handed.append(any(pair_classes(rule, p, key) for key, _, _ in keys))
+            return keys
 
         def evaluate(rows, scale, key):
             if pair_classes(rule, p, key):
                 tested.append(key[:1])
             return block(rows, scale, key)
-        return kernel(rule, tol, p, raw, keys, evaluate, *rest, **options)
+        return kernel(rule, tol, p, raw, counts, listed, evaluate, *rest, **options)
     monkeypatch.setattr(valuation, "_kernel", spy)
     v = irreducible_sums(lat, range(1, len(lat.join_irreducibles()) + 1))
     w = bivaluation_from_valuation(v, validate=False)
@@ -720,10 +772,11 @@ def test_tables_are_built_once_per_lattice(tmp_path, monkeypatch, capsys):
     weights = {a: k for k, a in enumerate(atoms, 1)}
     (tmp_path / "b4.json").write_text(json.dumps(boolean_lattice(atoms).to_dict()))
     (tmp_path / "w4.json").write_text(json.dumps(weights))
-    # at the default tolerance every audit is proved from the valuation, and
-    # only the bi-valuation and the audits' blocks read tables; at tolerance
-    # 0 the float rows run on the kernel, which also reads the join table
-    for tol, code, kinds in ((["--tol", "1e-9"], 0, ["down", "meet"]),
+    # at the default tolerance every audit is proved from the valuation and
+    # counted in closed form, so no row is built and no table read; at
+    # tolerance 0 the float rows are built and run on the kernel, which also
+    # reads the join table
+    for tol, code, kinds in ((["--tol", "1e-9"], 0, []),
                              (["--tol", "0"], 1, ["down", "join", "meet"])):
         built.clear()
         assert run(["rules", "audit", "--poset", str(tmp_path / "b4.json"),
@@ -732,7 +785,7 @@ def test_tables_are_built_once_per_lattice(tmp_path, monkeypatch, capsys):
         # each table at most once, all of the run's one poset, which is
         # gone with the run
         assert sorted(kind for kind, _, _ in built) == kinds
-        assert len({p for _, p, _ in built}) == 1
+        assert len({p for _, p, _ in built}) == (1 if kinds else 0)
         gc.collect()
         assert all(ref() is None for _, _, ref in built)
 
@@ -740,10 +793,9 @@ def test_tables_are_built_once_per_lattice(tmp_path, monkeypatch, capsys):
     lat = boolean_lattice(atoms)
     v = derive_valuation_from_atoms(lat, weights)
     default_audit(v)
-    assert sorted(kind for kind, _, _ in built) == ["down", "meet"]
-    built.clear()
+    assert built == []
     first = default_audit(v, 0)
-    assert [kind for kind, _, _ in built] == ["join"]
+    assert sorted(kind for kind, _, _ in built) == ["down", "join", "meet"]
     built.clear()
     # a second audit of the same poset builds none, and gets the same reports
     assert [r.to_dict() for r in default_audit(v, 0)] == [r.to_dict() for r in first]
@@ -771,6 +823,26 @@ def test_sum_rule_audit_holds_no_array_of_pairs():
         tracemalloc.stop()
     assert report.passed and report.checked == 130_816
     assert peak < 12 * 2 ** 20
+
+
+def test_proved_audits_build_no_meet_table():
+    # B10's meet table holds 1,048,576 entries, over 8 MiB of list slots
+    # alone; the proved context and diamond audits count their instances
+    # from the empty rows and read no table
+    atoms = "abcdefghij"
+    lat = boolean_lattice(atoms)
+    w = bivaluation_from_valuation(
+        derive_valuation_from_atoms(lat, {a: k for k, a in enumerate(atoms, 1)}), validate=False)
+    tracemalloc.start()
+    try:
+        reports = [check(w) for check in (check_context_product_rule, check_diamond_lemma)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.passed, r.checked, r.skipped) for r in reports] == [
+        (True, 1_013_275_648, 60_466_176), (True, 1_047_552, 1024)]
+    assert lat._tables == {}
+    assert peak < 2 ** 20
 
 
 def test_rules_audit_does_not_depend_on_the_hash_seed(tmp_path):

@@ -234,6 +234,21 @@ def test_rules_audit_refuses_conflicting_valuation_flags(tmp_path, capsys, first
     assert err.count("\n") == 1 and first in err and second in err
 
 
+@pytest.mark.parametrize("rule", ["chain", "diamond", "context"])
+def test_rules_audit_of_a_derived_bivaluation_needs_a_lattice(tmp_path, capsys, rule):
+    # a and b are both below c and d; every row of the bi-valuation would be
+    # proved from the values, so an audit that counts rows without reading
+    # them passed the chain rule with exit 0
+    (tmp_path / "bowtie.json").write_text(json.dumps(
+        {"elements": ["a", "b", "c", "d"],
+         "covers": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]}))
+    (tmp_path / "values.json").write_text(json.dumps({"a": 1, "b": 1, "c": 2, "d": 2}))
+    code, out, err = invoke(capsys, "rules", "audit", "--poset", str(tmp_path / "bowtie.json"),
+                            "--values", str(tmp_path / "values.json"), "--rules", rule)
+    assert code == 2 and out == ""
+    assert err == "ordinal: error: poset is not a lattice, witness pair ('a', 'b')\n"
+
+
 HUGE = 10 ** 400  # 401 digits, beyond the largest float
 
 
