@@ -20,13 +20,14 @@ topological positions, one per context. The order comes from the poset's
 down-set rows, and meets and joins from the certificate's extents and intents,
 in n x n tables, one per lattice. A valuation is such a row, and a
 bi-valuation is stored as its rows. Each rule tests its instances in blocks
-that read one or two rows. A block whose rows are all exact (each defined
-value an int or a Fraction) tests integers, each row scaled to the lcm of its
-denominators, where a difference d at scale S violates iff
-|d| > floor(tol * S), which is exactly |lhs - rhs| > tol. Any other block is
-tested on the values as they are, with the same operations as a plain loop,
-so float residuals are bit-identical. Only the instances that violate have
-their sides computed, on the raw values, with the block's own operations.
+that read one or two rows. ``_arithmetic`` classifies each row, and a block
+whose rows are all exact (each value an int or a Fraction) tests integers,
+each row scaled to the lcm of its denominators, where a difference d at
+scale S violates iff |d| > floor(tol * S), which is exactly
+|lhs - rhs| > tol. Any other block is tested on the values as they are,
+with the same operations as a plain loop, so float residuals are
+bit-identical. Only the instances that violate have their sides computed,
+on the raw values, with the block's own operations.
 
 A row's provenance decides whether its blocks are evaluated at all. Each row
 of ``bivaluation_from_valuation`` is derived: it holds
@@ -40,9 +41,10 @@ both sides, and row t's sum rule is v's sum rule below t over v(t). So
 ``_proved`` names the rows on which no instance can violate, from v's values
 alone. The kernel walks only the blocks that read a row it does not name;
 each rule counts its instances in closed form from the set of empty rows,
-so a proved audit builds no row and no table. The sum rule of exact values
-and the monotone audit of values that do not fall along any cover are
-proved the same way, for their one row.
+so a proved audit builds no row and no table. The sum rule of values that
+``_modular`` passes and the monotone audit of values that do not fall along
+any cover are proved the same way, for their one row, in either arithmetic
+``_arithmetic`` names.
 
 On a distributive lattice an unproved derived row t still saves most of its
 n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
@@ -135,9 +137,21 @@ _UNDEFINED = type("Undefined", (), {
     **dict.fromkeys(("__gt__", "__ge__"), lambda self, other: True),
     **dict.fromkeys(("__lt__", "__le__"), lambda self, other: False)})()
 
-# The types an exact row holds, holes included; bool and subclasses of
-# Fraction are not among them, so rows holding them stay raw.
-_EXACT = {int, Fraction, type(_UNDEFINED)}
+
+def _arithmetic(row) -> str | None:
+    """The arithmetic that a row's sums and differences compute in: "exact"
+    when each value is an int or a Fraction, so they are exact and the
+    kernel tests them in integers; "float" when each is a float or an int
+    of size at most 2**53, which converts to a float exactly, so each is
+    the correctly rounded float of the exact result (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 2); None for anything else:
+    holes, bools, subclasses of int or Fraction, and a Fraction beside a
+    float."""
+    types = set(map(type, row))
+    if types <= {int, Fraction}:
+        return "exact"
+    ints_convert = int not in types or all(abs(e) <= 2 ** 53 for e in row if type(e) is int)
+    return "float" if types <= {int, float} and ints_convert else None
 
 
 def require_tolerance(tol) -> None:
@@ -206,9 +220,9 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     undefined instances of the evaluated blocks, and skipped is the rest
     of the total.
     ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
-    their scale, on the exact rows in integers (row t times scale[t], the
-    lcm of its denominators, scaled when a block first reads it) or on raw
-    at scale 1. Each difference decides one instance, or a class of
+    their scale, on the rows _arithmetic names exact in integers (row t
+    times scale[t], the lcm of its denominators, scaled when a block first
+    reads it) or on raw at scale 1. Each difference decides one instance, or a class of
     instances that read the very same objects; the caller vouches that
     such a class holds no hole and that the differences it leaves out,
     none where every difference is an instance, cannot violate. So an
@@ -231,10 +245,9 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
         if not unread.isdisjoint(reads):  # each row is built, and scaled if exact, on first read
             for t in unread.intersection(reads):
                 row = _row(raw, t)
-                if set(map(type, row)) <= _EXACT:
-                    s = scale[t] = math.lcm(*(e.denominator for e in row if e is not _UNDEFINED))
-                    rows[t] = [e if e is _UNDEFINED else e.numerator * (s // e.denominator)
-                               for e in row]
+                if _arithmetic(row) == "exact":
+                    s = scale[t] = math.lcm(*(e.denominator for e in row))
+                    rows[t] = [e.numerator * (s // e.denominator) for e in row]
                 else:
                     inexact.add(t)
             unread.difference_update(reads)
@@ -299,24 +312,6 @@ def _distributive(p: Poset) -> bool:
     c = p._require_lattice()
     j_exts = [c.extent[j] for j in c.join_irreducibles]
     return all(c.by_extent.keys() >= {e | f for f in j_exts} for e in c.extent)
-
-
-def _quotient_kind(values) -> str | None:
-    """How the quotients v(m) / v(t), v(t) > 0, that
-    bivaluation_from_valuation divides v's values into compute: "exact"
-    when each is a Fraction, so the kernel tests them in integers; "float"
-    when each is a correctly rounded float, as int / int is, and so is a
-    float division of operands that convert exactly; None for anything
-    else, holes and bools included, and Fractions beside an int v(t) > 0,
-    which would mix the two."""
-    types = set(map(type, values))
-    if types <= _EXACT and type(_UNDEFINED) not in types:
-        if not any(type(e) is int and e > 0 for e in values):
-            return "exact"  # each v(t) > 0 is a Fraction, and so is anything over it
-        return "float" if types == {int} else None
-    if types <= {int, float} and all(abs(e) <= 2 ** 53 for e in values if type(e) is int):
-        return "float"
-    return None
 
 
 def _modular(p: Poset, values) -> int:
@@ -414,12 +409,14 @@ def _valuation_row(v: Valuation) -> list:
 def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit v(x v y) + v(x ^ y) = v(x) + v(y) over all unordered pairs.
 
-    Exact values that _modular proves on a distributive lattice keep the
-    rule with no residual, so they are counted, not evaluated."""
+    Values that _modular passes on a distributive lattice keep the rule
+    with no residual: both sides of each pair are the same rational. In any
+    row _arithmetic names, the kernel then adds each side exactly, or
+    rounds both to the same float or overflows both to the same infinity,
+    so each difference is 0 or NaN, which no tolerance fails. So the pairs
+    are counted, not evaluated."""
     p, row = v.poset, _valuation_row(v)
-    types = set(map(type, row))
-    proved = (types <= _EXACT and type(_UNDEFINED) not in types
-              and _distributive(p) and not _modular(p, row))
+    proved = _arithmetic(row) and _distributive(p) and not _modular(p, row)
     return _sum_rule("sum", p, [row], [0], tol, [proved])
 
 
@@ -429,13 +426,13 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
 
     If v(a) <= v(b) holds exactly for every cover a -> b, it holds for every
     comparable pair by transitivity, and the kernel's difference v(x) - v(y)
-    is then at most 0 for any row _quotient_kind names: in integers, or in
+    is then at most 0 for any row _arithmetic names: in integers, or in
     floats, where rounding is monotone and 0 is representable. So every
     pair passes at any tolerance, and the audit is counted from the
     down-set sizes."""
     p, row = v.poset, _valuation_row(v)
     sizes = [mask.bit_count() - 1 for mask in p._down_t]
-    proved = bool(_quotient_kind(row)) and all(v.values[a] <= v.values[b] for a, b in p.covers)
+    proved = bool(_arithmetic(row)) and all(v.values[a] <= v.values[b] for a, b in p.covers)
 
     def counts(empty):
         return sum(sizes), 0 if empty else sum(sizes)
@@ -576,15 +573,20 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
     """w(x | y) = v(x ^ y) / v(y), defined wherever v(y) > 0; each row is
     divided on its first read. The rows are read through meets, so v's
     poset is certified as a lattice here: a proved audit counts a derived
-    row without reading it."""
+    row without reading it. A hole in v is refused, as it would lie inside
+    the derived rows above it, where _sum_rule's pair classes hold none."""
+    p = v.poset
+    values = [v.values[x] for x in p._at]
+    if any(map(is_, values, repeat(None))):
+        raise ValueError(f"element {p._at[values.index(None)]!r} has no value to condition on")
     if validate:
         audit = check_sum_rule(v, tol)
         if not audit.passed:
             raise ValueError(f"valuation fails the sum rule on "
                              f"{len(audit.violations)} pairs; cannot condition on it")
-    p, w = v.poset, BiValuation(v.poset, {})
+    w = BiValuation(p, {})
     p._require_lattice()
-    values = w._source = [v.values[x] for x in p._at]
+    w._source = values
     for t, vt in enumerate(values):
         if vt > 0:
             w._rows[t], w._derived[t] = _Unbuilt(p, values, t), True
@@ -598,9 +600,13 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
     at tol (module docstring). The sum rule holds below row t when no
     position x <= t is in _modular's mask.
 
-    Float quotients are each correctly rounded (_quotient_kind), and with
-    u = 2**-53 and M = max |v| / min {v(t) > 0} >= 1 bounding every
-    quotient, the kernel's operations leave a residual below
+    The quotients of values that _arithmetic names "exact" are Fractions
+    when no v(t) > 0 is an int. Over an int they are correctly rounded
+    floats if every value is an int, and beside a Fraction they would mix
+    the two, so then no row is proved. Those of "float" values are
+    correctly rounded floats, as a float division of operands that convert
+    exactly is. With u = 2**-53 and M = max |v| / min {v(t) > 0} >= 1
+    bounding every quotient, the kernel's operations leave a residual below
     (1 + u)(4u + O(u**2)) M in fl(q1) - fl(fl(q2) * fl(q3)) where
     q2 q3 = q1, and below (1 + u)(8u + O(u**2)) M in
     fl(fl(q1) + fl(q2)) - fl(fl(q3) + fl(q4)) where q1 + q2 = q3 + q4
@@ -609,7 +615,9 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
     tolerance of at least 2**-49 M passes them; M stays at most 2**1000, so
     no quotient or product overflows."""
     values, none = w._source, [False] * len(w._rows)
-    kind = values is not None and _quotient_kind(values)
+    kind = values is not None and _arithmetic(values)
+    if kind == "exact" and any(type(e) is int and e > 0 for e in values):
+        kind = "float" if set(map(type, values)) == {int} else None
     if not kind:
         return none
     positive = kind == "float" and [e for e in values if e > 0]

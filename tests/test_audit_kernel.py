@@ -289,8 +289,41 @@ def test_reduced_audits_match_reference_loops(case):
 
 # --- audits proved from the source valuation ---
 
-@settings(max_examples=150, deadline=None)
-@given(irreducible_valuations(), st.sampled_from([0, valuation.DEFAULT_TOL]), st.data())
+# each arithmetic that _arithmetic tells apart, and the kind of the values
+# that with_value writes into its bi-valuation
+ARITHMETICS = {"quarters": "float", "tenths": "float", "near overflow": "float",
+               "big int": "float", "fraction beside float": "mixed", "bool": "int",
+               "ints beside fractions": "fraction"}
+
+
+@st.composite
+def classified_valuations(draw):
+    """A valuation from weights k on the join-irreducibles of a
+    distributive lattice, in each arithmetic: floats k / 4, whose sums are
+    exact, and k / 10, whose sums are rounded; k times a power of two that
+    puts the top within a factor 2 of the largest float, so that the sum
+    rule's sides overflow to infinities and leave NaN residuals; an int
+    beyond 2**53 beside floats; a Fraction beside a float; a bool at the
+    bottom; and ints beside Fractions, with a positive int."""
+    lat = REDUCED_LATTICES[draw(st.sampled_from(sorted(DISTRIBUTIVE - {"B1"})))]
+    size, arithmetic = len(lat.join_irreducibles()), draw(st.sampled_from(sorted(ARITHMETICS)))
+    ks = draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size))
+    unit = {"quarters": 1 / 4, "tenths": 1 / 10, "big int": 1 / 4,
+            "near overflow": 2.0 ** (1024 - sum(ks).bit_length())}.get(arithmetic, 1)
+    weights = [k * unit for k in ks]
+    if arithmetic == "big int":
+        weights[0] = 2 ** 53 + ks[0]
+    elif arithmetic in ("fraction beside float", "ints beside fractions"):
+        weights = [Fraction(k, 3) if i % 2 else k for i, k in enumerate(ks)]
+        if arithmetic == "fraction beside float":
+            weights[0] = ks[0] / 4
+    v = irreducible_sums(lat, weights)
+    return (v.replace(lat._at[0], False) if arithmetic == "bool" else v), ARITHMETICS[arithmetic]
+
+
+@settings(max_examples=250, deadline=None)
+@given(irreducible_valuations() | classified_valuations(),
+       st.sampled_from([0, valuation.DEFAULT_TOL]), st.data())
 def test_proved_audits_match_reference_loops(case, tol, data):
     # a derived bi-valuation is proved wherever its quotients allow, and a
     # with_value change clears the flag of the one row it changes
@@ -425,6 +458,13 @@ def derived(v):
     return bivaluation_from_valuation(v, validate=False)
 
 
+def steps(weight):
+    """The valuation of weights weight(1), weight(2), ... on the
+    join-irreducibles, as a function of the lattice."""
+    return lambda lat: irreducible_sums(
+        lat, [weight(k) for k in range(1, len(lat.join_irreducibles()) + 1)])
+
+
 # case -> lattice, its valuation, the bi-valuation built from it, the
 # tolerance or its function of the valuation, and the rules whose kernel
 # must evaluate blocks
@@ -454,6 +494,18 @@ PATHS = {
     "table-built": ("B4", thirds, lambda v: BiValuation(v.poset, derived(v).table),
                     valuation.DEFAULT_TOL, ON_W),
     "not distributive": ("N5", thirds, derived, 0, {"sum", "bisum"}),
+    # float weights whose sums are exact keep the sum rule as exact ones do
+    "float weights k / 4": ("B4", steps(lambda k: k / 4), derived, valuation.DEFAULT_TOL, set()),
+    "float weights k / 4 at tolerance 0": ("B4", steps(lambda k: k / 4), derived, 0,
+                                           ON_W - {"sum"}),
+    # rounded sums fail _modular, so the sum rules run, on pair classes in bisum
+    "float weights k / 10": ("B4", steps(lambda k: k / 10), derived, valuation.DEFAULT_TOL,
+                             {"sum", "bisum"}),
+    # an int over an int divides into a float, and a Fraction over it into a
+    # Fraction, so no bi-valuation row is proved; monotone is proved in
+    # integers
+    "ints beside Fractions": ("B4", steps(lambda k: Fraction(k, 3) if k % 2 == 0 else k),
+                              derived, 0, ON_W),
 }
 
 
@@ -827,22 +879,25 @@ def test_sum_rule_audit_holds_no_array_of_pairs():
 
 def test_proved_audits_build_no_meet_table():
     # B10's meet table holds 1,048,576 entries, over 8 MiB of list slots
-    # alone; the proved context and diamond audits count their instances
-    # from the empty rows and read no table
+    # alone; the proved sum, context and diamond audits count their
+    # instances from the empty rows and read no table, for float weights
+    # whose sums are exact as for ints
     atoms = "abcdefghij"
-    lat = boolean_lattice(atoms)
-    w = bivaluation_from_valuation(
-        derive_valuation_from_atoms(lat, {a: k for k, a in enumerate(atoms, 1)}), validate=False)
-    tracemalloc.start()
-    try:
-        reports = [check(w) for check in (check_context_product_rule, check_diamond_lemma)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [(r.passed, r.checked, r.skipped) for r in reports] == [
-        (True, 1_013_275_648, 60_466_176), (True, 1_047_552, 1024)]
-    assert lat._tables == {}
-    assert peak < 2 ** 20
+    for weight in (int, lambda k: k / 4):
+        lat = boolean_lattice(atoms)
+        v = derive_valuation_from_atoms(lat, {a: weight(k) for k, a in enumerate(atoms, 1)})
+        w = bivaluation_from_valuation(v, validate=False)
+        tracemalloc.start()
+        try:
+            reports = [check_sum_rule(v), *(check(w) for check in (check_context_product_rule,
+                                                                  check_diamond_lemma))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(r.passed, r.checked, r.skipped) for r in reports] == [
+            (True, 523_776, 0), (True, 1_013_275_648, 60_466_176), (True, 1_047_552, 1024)]
+        assert lat._tables == {}
+        assert peak < 2 ** 20
 
 
 def test_rules_audit_does_not_depend_on_the_hash_seed(tmp_path):

@@ -92,6 +92,17 @@ def test_undefined_value_accepted(b3):
     assert Valuation(b3, {**values, "{a}": None})("{a}") is None
 
 
+def test_a_valuation_with_a_hole_is_not_conditioned_on(b3):
+    # the sum rule skips the pairs that read the hole, so validation passes
+    # it, but the hole would lie inside every derived row above {a}
+    values = {e: len(parse_subset_id(e)) for e in b3.elements}
+    v = Valuation(b3, {**values, "{a}": None})
+    assert check_sum_rule(v, 0).passed
+    for validate in (True, False):
+        with pytest.raises(ValueError, match=r"element '\{a\}' has no value"):
+            bivaluation_from_valuation(v, validate=validate)
+
+
 def test_derive_needs_matching_boolean_lattice(b3):
     with pytest.raises(ValueError):
         derive_valuation_from_atoms(b3, {"a": 0.5, "b": 0.5})
