@@ -134,6 +134,9 @@ class Poset:
         # read, each built on first use (valuation._table) and dropped with
         # the poset
         self._tables: dict[str, list[list[int]]] = {}
+        # whether the lattice is distributive, decided on first use
+        # (valuation._distributive) and kept like the tables
+        self._distributive: bool | None = None
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -29,7 +29,7 @@ from ordinal import (Valuation, bivaluation_from_valuation, boolean_lattice,
                      check_diamond_lemma, check_monotone,
                      check_product_rule_for_lattice_product, check_sum_rule,
                      derive_valuation_from_atoms, divisor_lattice,
-                     partition_lattice)
+                     lattice_product, partition_lattice)
 from ordinal.cli import run
 from ordinal.serialize import dumps_canonical
 from ordinal.valuation import BiValuation
@@ -551,6 +551,67 @@ def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
     contexts = [(t,) for t, row in enumerate(w._rows) if row is not None]
     assert handed == [name in DISTRIBUTIVE]
     assert sorted(tested) == (contexts if name in DISTRIBUTIVE else [])
+
+
+# REDUCED_LATTICES and products of them with chains, one distributive and
+# two not
+LATTICES = {**REDUCED_LATTICES,
+            "B2xC3": lattice_product(REDUCED_LATTICES["B2"], chain_poset("012")),
+            "N5xC2": lattice_product(REDUCED_LATTICES["N5"], chain_poset("01")),
+            "C2xM3": lattice_product(chain_poset("01"), REDUCED_LATTICES["M3"])}
+
+
+def distributes(lat):
+    """Whether x ^ (y v z) = (x ^ y) v (x ^ z) for every triple, by the
+    public join and meet."""
+    ids, join, meet = lat.elements, lat.join, lat.meet
+    return all(meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+               for x in ids for y in ids for z in ids)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_distributivity_is_decided_once_and_kept_on_the_lattice(monkeypatch, name):
+    lat = build_poset(LATTICES[name].elements, LATTICES[name].covers)
+    lat.is_lattice()
+    assert lat._distributive is None  # certification does not decide it
+    verdict = valuation._distributive(lat)
+    assert verdict == distributes(lat) == (name in DISTRIBUTIVE | {"B2xC3"})
+    assert lat._tables == {}
+    # a second call reads the kept verdict, not the standard context
+    monkeypatch.setattr(lat, "_require_lattice", None)
+    assert valuation._distributive(lat) is verdict
+
+
+def modular_by_element(lat, values):
+    """_modular's mask from its formula, an element at a time: the x where
+    v(x) is not v(bottom) plus the steps v(j) - v(j-) of the J below x,
+    each element's steps summed anew in rationals."""
+    c = lat._require_lattice()
+    exact = list(map(Fraction, values))
+    steps = [exact[j] - exact[c.by_extent[c.extent[j] ^ 1 << k]]
+             for k, j in enumerate(c.join_irreducibles)]
+    bottom = exact[c.by_extent[0]]
+    return sum(1 << x for x, (e, mask) in enumerate(zip(exact, c.extent))
+               if e != bottom + sum(step for k, step in enumerate(steps) if mask >> k & 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(LATTICES)), st.sampled_from(["int", "fraction", "float"]),
+       st.booleans(), st.data())
+def test_modular_matches_its_formula_at_each_element(name, kind, from_irreducibles, data):
+    # values summed from the join-irreducibles pass on any lattice until one
+    # is shifted; values drawn an element at a time mostly fail
+    lat = LATTICES[name]
+    if from_irreducibles:
+        size = len(lat.join_irreducibles())
+        v = irreducible_sums(lat, data.draw(st.lists(number(kind), min_size=size,
+                                                     max_size=size)))
+        values = valuation._valuation_row(v)
+        if data.draw(st.booleans()):
+            values[data.draw(st.integers(0, len(lat) - 1))] += data.draw(number(kind, 2))
+    else:
+        values = data.draw(st.lists(number(kind), min_size=len(lat), max_size=len(lat)))
+    assert valuation._modular(lat, values) == modular_by_element(lat, values)
 
 
 @pytest.mark.parametrize("change", ["shifted", "changed quotient"])

@@ -2,6 +2,8 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,9 @@ from ordinal import (BiValuation, LatticeMismatch, NegativeAtomValue, NotALattic
                      check_bivaluation_sum_rule, check_chain_rule,
                      check_context_product_rule, check_diamond_lemma,
                      check_monotone, check_product_rule_for_lattice_product,
-                     check_sum_rule, derive_valuation_from_atoms, divisor_lattice,
-                     lattice_product, pair_id, parse_subset_id, partition_lattice)
+                     build_poset, check_sum_rule, derive_valuation_from_atoms,
+                     divisor_lattice, lattice_product, pair_id, parse_subset_id,
+                     partition_lattice)
 from ordinal import valuation
 
 WEIGHTS = {"a": 0.2, "b": 0.3, "c": 0.5}
@@ -106,6 +109,69 @@ def test_a_valuation_with_a_hole_is_not_conditioned_on(b3):
 def test_derive_needs_matching_boolean_lattice(b3):
     with pytest.raises(ValueError):
         derive_valuation_from_atoms(b3, {"a": 0.5, "b": 0.5})
+
+
+def folded(element, weights):
+    """Oracle: the weights of element's atoms added left to right in atom
+    order from the int 0, which is what sum() does up to Python 3.11 (from
+    3.12 on, sum() compensates float rounding)."""
+    return reduce(add, (weights[a] for a in sorted(parse_subset_id(element))), 0)
+
+
+BOOLEANS = {n: boolean_lattice("abcdef"[:n]) for n in range(1, 7)}
+WEIGHT_KINDS = {
+    "int": st.integers(0, 10 ** 6),
+    "sixteenths": st.integers(0, 1000).map(lambda k: k / 16),
+    "tenths": st.integers(0, 1000).map(lambda k: k / 10),
+    "fraction": st.fractions(min_value=0, max_value=100, max_denominator=60),
+    "int or fraction": st.integers(0, 100) | st.fractions(min_value=0, max_value=100,
+                                                          max_denominator=60),
+    "negative zero": st.sampled_from([-0.0, 0.0, 0, 0.1, Fraction(0)]),
+}
+
+
+def reversed_ids(lat):
+    """lat with each id's atoms listed in reverse, as {b,a}: ids that no
+    generator writes, but that name the same subsets."""
+    name = {e: "{" + ",".join(sorted(parse_subset_id(e), reverse=True)) + "}"
+            for e in lat.elements}
+    return build_poset(name.values(), [(name[a], name[b]) for a, b in lat.covers]), name
+
+
+def typed(value):
+    return repr(value), type(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BOOLEANS)), st.sampled_from(sorted(WEIGHT_KINDS)), st.data())
+def test_derived_values_are_the_left_fold_of_their_weights(n, kind, data):
+    lat = BOOLEANS[n]
+    weights = dict(zip("abcdef", data.draw(st.lists(WEIGHT_KINDS[kind], min_size=n,
+                                                     max_size=n))))
+    v = derive_valuation_from_atoms(lat, weights)
+    assert list(v.values) == list(lat.elements)
+    assert [typed(v(e)) for e in lat.elements] == [typed(folded(e, weights))
+                                                    for e in lat.elements]
+    # ids that are not canonical are parsed, and get the same values
+    renamed, name = reversed_ids(lat)
+    u = derive_valuation_from_atoms(renamed, weights)
+    assert [typed(u(name[e])) for e in lat.elements] == [typed(v(e)) for e in lat.elements]
+
+
+@pytest.mark.parametrize("elements, covers, weights, message", [
+    # a key holding ',' names no atom of any id: {a,b} holds the atoms a and b
+    (["{}", "{a,b}"], [("{}", "{a,b}")], {"a,b": 1},
+     "element '{a,b}' uses atoms outside the weight map"),
+    # an empty key would join to the id of the empty set; {,b} is no subset id
+    (["{}", "{b}", "{,b}", "{b,}"], [("{}", "{b}"), ("{b}", "{,b}"), ("{b}", "{b,}")],
+     {"": 1, "b": 2}, "'{,b}' is not a subset id"),
+    # a key that is not a str names no atom of any id
+    (["{}", "{1}"], [("{}", "{1}")], {1: 1}, "element '{1}' uses atoms outside the weight map"),
+])
+def test_derive_refuses_ids_that_its_weight_keys_do_not_name(elements, covers, weights, message):
+    with pytest.raises(ValueError) as refused:
+        derive_valuation_from_atoms(build_poset(elements, covers), weights)
+    assert str(refused.value) == message
 
 
 # --- sum rule ---
