@@ -12,37 +12,30 @@ from .errors import NotQuantifiable, NotSynchronized, OrdinalError
 # its handler, its help and its flags. build_parser adds the commands of only
 # the group that a run names, and run dispatches from the same table.
 # Each command imports the modules it uses when it runs, and the tables below
-# name their functions as "module:function", resolved when dispatched, so a
-# run never compiles the modules of the commands it does not run.
+# name package exports, which the package imports on first use (PEP 562) when
+# a command looks them up, so a run never compiles the modules of the commands
+# it does not run.
 
 # rule -> (audit, whether it audits w(x | y) = v(x ^ y) / v(y) instead of v,
 # whether it takes --tol)
 AUDITS = {
-    "sum": ("valuation:check_sum_rule", False, True),
-    "bisum": ("valuation:check_bivaluation_sum_rule", True, True),
-    "chain": ("valuation:check_chain_rule", True, True),
-    "diamond": ("valuation:check_diamond_lemma", True, True),
-    "context": ("valuation:check_context_product_rule", True, True),
-    "monotone": ("valuation:check_monotone", False, False),  # an order check, at tolerance 0
+    "sum": ("check_sum_rule", False, True),
+    "bisum": ("check_bivaluation_sum_rule", True, True),
+    "chain": ("check_chain_rule", True, True),
+    "diamond": ("check_diamond_lemma", True, True),
+    "context": ("check_context_product_rule", True, True),
+    "monotone": ("check_monotone", False, False),  # an order check, at tolerance 0
 }
 RULE_CHECKS = tuple(AUDITS)
 DEFAULT_RULES = "sum,bisum,chain,diamond,context"
 
 # poset kind -> (generator, the flag that gives its argument)
 GENERATORS = {
-    "boolean": ("poset:boolean_lattice", "atoms"),
-    "partition": ("poset:partition_lattice", "atoms"),
-    "divisors": ("poset:divisor_lattice", "n"),
-    "grid": ("spacetime:causal_grid_poset", "n"),
+    "boolean": ("boolean_lattice", "atoms"),
+    "partition": ("partition_lattice", "atoms"),
+    "divisors": ("divisor_lattice", "n"),
+    "grid": ("causal_grid_poset", "n"),
 }
-
-
-def _resolve(ref: str):
-    """The function a ``module:function`` table entry names, importing its
-    ``ordinal`` submodule now."""
-    module, name = ref.split(":")
-    # __import__ is the import statement's path, which -X importtime reports
-    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -133,7 +126,7 @@ def _cmd_poset_gen(args) -> int:
         raise OrdinalError(f"gen {args.kind} requires --{flag}")
     if flag == "atoms":
         arg = [a for a in arg.split(",") if a]
-    _emit(args, dumps_canonical(_resolve(generator)(arg).to_dict()))
+    _emit(args, dumps_canonical(getattr(sys.modules[__package__], generator)(arg).to_dict()))
     return 0
 
 
@@ -177,8 +170,8 @@ def _cmd_rules_audit(args) -> int:
     w = (bivaluation_from_valuation(v, tol, validate=False)
          if any(on_w for _, on_w, _ in audits) else None)
     reports = []
-    for ref, on_w, with_tol in audits:
-        audit, subject = _resolve(ref), (w if on_w else v)
+    for name, on_w, with_tol in audits:
+        audit, subject = getattr(sys.modules[__package__], name), (w if on_w else v)
         reports.append(audit(subject, tol) if with_tol else audit(subject))
     passed = all(r.passed for r in reports)
     _emit_payload(args, lambda: {"tolerance": tol, "passed": passed,

@@ -84,7 +84,8 @@ class RuleReport(Record):
 
 
 def build_report(rule, checked, tolerance, violations, skipped=0) -> RuleReport:
-    """Assemble a report with violations sorted into canonical order."""
-    ordered = sorted(violations, key=lambda v: tuple(map(str, v.instance)))
+    """Assemble a report with violations sorted into canonical order: by
+    instance, a tuple of element ids, which are strings."""
+    ordered = sorted(violations, key=lambda v: v.instance)
     return RuleReport(rule=rule, checked=checked, tolerance=tolerance,
                       violations=ordered, skipped=skipped)

@@ -30,21 +30,22 @@ bit-identical. Only the instances that violate have their sides computed,
 on the raw values, with the block's own operations.
 
 A row's provenance decides whether its blocks are evaluated at all. Each row
-of ``bivaluation_from_valuation`` is derived: it holds
-w(x | t) = v(x ^ t) / v(t) of its source valuation v, one quotient object per
-meet x ^ t, and it is divided only when something first reads it (``_row``).
-``_put`` clears the flag of the row it writes, so ``with_value`` clears only
-the row it changes, and a bi-valuation built from a table has no derived
-row. On derived rows the rules are identities: the chain and context rules
-multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads one quotient on
-both sides, and row t's sum rule is v's sum rule below t over v(t). So
-``_proved`` names the rows on which no instance can violate, from v's values
-alone. The kernel walks only the blocks that read a row it does not name;
-each rule counts its instances in closed form from the set of empty rows,
-so a proved audit builds no row and no table. The sum rule of values that
-``_modular`` passes and the monotone audit of values that do not fall along
-any cover are proved the same way, for their one row, in either arithmetic
-``_arithmetic`` names.
+of ``bivaluation_from_valuation`` is a ``_Derived``: it carries the values of
+its source valuation v and holds w(x | t) = v(x ^ t) / v(t), one quotient
+object per meet x ^ t, divided only when something first reads it
+(``_row``) and kept in the row object, so the bi-valuations that share the
+row share one division. ``with_value`` writes a list copy of the row it
+changes and shares the others, and a bi-valuation built from a table has
+no derived row. On derived rows the rules are identities: the chain and
+context rules multiply v(a) / v(b) by v(b) / v(c), the diamond lemma reads
+one quotient on both sides, and row t's sum rule is v's sum rule below t
+over v(t). So ``_proved`` names the rows on which no instance can violate,
+from v's values alone. The kernel walks only the blocks that read a row it
+does not name; each rule counts its instances in closed form from the set
+of empty rows, so a proved audit divides no row and builds no table. The
+sum rule of values that ``_modular`` passes and the monotone audit of
+values that do not fall along any cover are proved the same way, for their
+one row, in either arithmetic ``_arithmetic`` names.
 
 On a distributive lattice an unproved derived row t still saves most of its
 n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
@@ -179,40 +180,44 @@ def require_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
-class _Unbuilt:
-    """A derived row before its first read: w(x | t) = v(x ^ t) / v(t) of
-    v's ``values`` by position, v(t) > 0. It refers to no bi-valuation, so
-    a row shared between bi-valuations makes no reference cycle."""
+class _Derived:
+    """A row of bivaluation_from_valuation: w(x | t) = v(x ^ t) / v(t) of
+    v's ``values`` by position, v(t) > 0. Its ``entries`` are divided on
+    their first read (``_row``) and kept here, so every bi-valuation that
+    shares the row shares one division. It refers to no bi-valuation, so a
+    shared row makes no reference cycle."""
 
-    __slots__ = ("poset", "values", "t")
+    __slots__ = ("poset", "values", "t", "entries")
 
     def __init__(self, poset: Poset, values: list, t: int):
-        self.poset, self.values, self.t = poset, values, t
+        self.poset, self.values, self.t, self.entries = poset, values, t, None
 
 
-def _build_row(unbuilt: _Unbuilt) -> list:
-    """The row an _Unbuilt stands for. It divides each value below t once
-    and holds that quotient wherever the meet x ^ t lands, so it keeps one
+def _build_row(derived: _Derived) -> list:
+    """The entries of a derived row. It divides each value below t once and
+    holds that quotient wherever the meet x ^ t lands, so it keeps one
     quotient object per meet; every meet with t is below t."""
-    p, values, t = unbuilt.poset, unbuilt.values, unbuilt.t
+    p, values, t = derived.poset, derived.values, derived.t
     vt = values[t]
     quotient = {m: values[m] / vt for m in _table(p, "down")[t]}
     return list(map(quotient.__getitem__, _table(p, "meet")[t]))
 
 
 def _row(rows: list, t: int):
-    """rows[t], built on its first read if it is unbuilt, and kept in rows."""
+    """The entries of rows[t]; a derived row divides them on its first read."""
     row = rows[t]
-    if type(row) is _Unbuilt:
-        row = rows[t] = _build_row(row)
-    return row
+    if type(row) is not _Derived:
+        return row
+    if row.entries is None:
+        row.entries = _build_row(row)
+    return row.entries
 
 
 def _empty(raw) -> set[int]:
-    """The context rows with no defined value, None rows included. An
-    unbuilt row is not read: v(t) > 0 defines each of its entries."""
+    """The context rows with no defined value, None rows included. A
+    derived row is not read: v(t) > 0 defines each of its entries."""
     return {t for t, row in enumerate(raw)
-            if type(row) is not _Unbuilt and all(map(is_, row or (), repeat(_UNDEFINED)))}
+            if type(row) is not _Derived and all(map(is_, row or (), repeat(_UNDEFINED)))}
 
 
 def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
@@ -220,9 +225,9 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     """Test one rule's instances, block by block, and report its violations.
 
     ``raw[t][x]`` is the value at the element in position x in the context
-    in position t, or _UNDEFINED, and a row of None is empty. An _Unbuilt
-    row is built on a block's first read of it, so a row that no evaluated
-    block reads is never built.
+    in position t, or _UNDEFINED, and a row of None is empty. The kernel
+    takes a row's entries (``_row``) on a block's first read of it, so a
+    _Derived row that no evaluated block reads is never divided.
     Each block has a key, the context rows it reads and a number of
     instances; every instance reads each of those rows, so a block reading
     a row with no defined value is skipped whole. ``counts(empty)`` gives
@@ -246,34 +251,34 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     such a class holds no hole and that the differences it leaves out,
     none where every difference is an instance, cannot violate. So an
     evaluated block checks its instances but the undefined ones, which it
-    skips. ``found(key, ks)`` yields the positions and raw sides, with the
-    block's operands in the block's order, of each instance that the
-    violating differences ks decide; it runs only for a block that fails,
-    so no block is evaluated a second time.
+    skips. ``found(rows, key, ks)`` yields the positions and raw sides, with
+    the block's operands in the block's order, of each instance that the
+    violating differences ks decide, reading the entries ``rows[t]`` of the
+    rows the block read; it runs only for a block that fails, so no block
+    is evaluated a second time.
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
     empty = _empty(raw)
     total, checked = counts(empty)
     unproved = set(compress(count(), map(not_, proved))).difference(empty)
-    rows, scale, ones, inexact = [None] * len(raw), [1] * len(raw), [1] * len(raw), set()
-    unread = set(range(len(raw)))
+    n = len(raw)
+    built, rows, scale, ones, inexact = [None] * n, [None] * n, [1] * n, [1] * n, set()
 
     def differences(key, reads):
         """lhs - rhs of the block key, and the bound their sizes must keep."""
-        if not unread.isdisjoint(reads):  # each row is built, and scaled if exact, on first read
-            for t in unread.intersection(reads):
-                row = _row(raw, t)
+        for t in reads:  # each row is read, and scaled if exact, on its first read
+            if built[t] is None:
+                row = built[t] = _row(raw, t)
                 if _arithmetic(row) == "exact":
                     s = scale[t] = math.lcm(*(e.denominator for e in row))
                     rows[t] = [e.numerator * (s // e.denominator) for e in row]
                 else:
                     inexact.add(t)
-            unread.difference_update(reads)
         if inexact.isdisjoint(reads):
             lhs, rhs, s = block(rows, scale, key)
             return list(map(sub, lhs, rhs)), num * s // den
-        lhs, rhs, _ = block(raw, ones, key)
+        lhs, rhs, _ = block(built, ones, key)
         return list(map(sub, lhs, rhs)), tol
 
     violations = []
@@ -288,7 +293,7 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
         checked -= countOf(diffs, _UNDEFINED)
         failing = [k for k, d in enumerate(diffs)
                    if d is not _UNDEFINED and (d if signed else abs(d)) > above]
-        for positions, a, b in found(key, failing):
+        for positions, a, b in found(built, key, failing):
             ids = tuple(map(p._at.__getitem__, positions))
             violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
     return build_report(rule, checked, tol, violations, total - checked)
@@ -379,13 +384,14 @@ def _pairs(d):
     return pair
 
 
-def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> RuleReport:
-    """The sum rule in each context row; instances (x, y) or (t, x, y), ids x < y.
+def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
+    """The sum rule in each context, each row of raw that is not None;
+    instances (x, y) or (t, x, y), ids x < y.
 
     Row t's block (t, d) tests the pairs (a, b) of d, a before b. d lists
-    every id, so that each pair is an instance, unless ``sound``, a bool per
-    row on a distributive lattice, says row t is diamond-exact. Then d is
-    t's down-set and each pair is a class: the instance (t, x, y) reads the
+    every id, so that each pair is an instance, unless row t is a _Derived
+    on a distributive lattice, and so diamond-exact. Then d is t's
+    down-set and each pair is a class: the instance (t, x, y) reads the
     very objects of class (x ^ t, y ^ t), because row t holds at x v y what
     it holds at (x v y) ^ t = (x ^ t) v (y ^ t), and at x ^ y what it holds
     at (x ^ t) ^ (y ^ t). The right side adds the pair in either order, and
@@ -396,6 +402,7 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> Ru
     """
     n, ids = len(p), [p._pos[e] for e in p.elements]
     size = n * (n - 1) // 2
+    contexts = [t for t, row in enumerate(raw) if row is not None]
 
     def counts(empty):
         return len(contexts) * size, sum(t not in empty for t in contexts) * size
@@ -403,7 +410,8 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> Ru
     def blocks(unproved):
         for t in contexts:
             if t in unproved:
-                yield (t, _table(p, "down")[t] if sound and sound[t] else ids), (t,), size
+                classes = type(raw[t]) is _Derived and _distributive(p)
+                yield (t, _table(p, "down")[t] if classes else ids), (t,), size
 
     def sides(row, d):
         """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
@@ -419,9 +427,9 @@ def _sum_rule(rule: str, p: Poset, raw, contexts, tol, proved, sound=None) -> Ru
         t, d = key
         return (*sides(rows[t], d), scale[t])
 
-    def found(key, ks):
+    def found(rows, key, ks):
         t, d = key
-        row, pair, fiber = raw[t], _pairs(d), {}
+        row, pair, fiber = rows[t], _pairs(d), {}
         # fiber[m] holds the x with x ^ t = m, or m alone when d is every id
         for x, m in enumerate(range(n) if d is ids else _table(p, "meet")[t]):
             fiber.setdefault(m, []).append(x)
@@ -451,7 +459,7 @@ def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     are counted, not evaluated."""
     p, row = v.poset, _valuation_row(v)
     proved = _arithmetic(row) and _distributive(p) and not _modular(p, row)
-    return _sum_rule("sum", p, [row], [0], tol, [proved])
+    return _sum_rule("sum", p, [row], tol, [proved])
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
@@ -477,9 +485,9 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     def block(rows, scale, y):
         return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y]), scale[0]
 
-    def found(y, ks):
+    def found(rows, y, ks):
         for x in map(_table(p, "down")[y].__getitem__, ks):
-            yield (x, y), row[x], row[y]
+            yield (x, y), rows[0][x], rows[0][y]
     return _kernel("monotone", tol, p, [row], counts, blocks, block, found, signed=True,
                    proved=[proved])
 
@@ -487,24 +495,26 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
                                            vPQ: Valuation,
                                            tol: Value = DEFAULT_TOL) -> RuleReport:
-    """Audit v((x, y)) = v(x) * v(y) on the product of vP's and vQ's lattices."""
+    """Audit v((x, y)) = v(x) * v(y) on the product of vP's and vQ's
+    lattices; an instance that reads a hole (None) is skipped and counted."""
     require_tolerance(tol)
     if len(vPQ.poset) != len(vP.poset) * len(vQ.poset):
         raise LatticeMismatch("product valuation size does not match |P| * |Q|")
-    violations = []
-    checked = 0
+    violations, checked = [], 0
     for x in vP.poset.elements:
         for y in vQ.poset.elements:
             element = pair_id(x, y)
             if element not in vPQ.poset:
                 raise LatticeMismatch(f"product lattice lacks element {element!r}")
+            lhs, vx, vy = vPQ(element), vP(x), vQ(y)
+            if lhs is None or vx is None or vy is None:
+                continue
             checked += 1
-            lhs = vPQ(element)
-            rhs = vP(x) * vQ(y)
+            rhs = vx * vy
             residual = abs(lhs - rhs)
             if residual > tol:
                 violations.append(RuleViolation((x, y), lhs, rhs, residual))
-    return build_report("product", checked, tol, violations)
+    return build_report("product", checked, tol, violations, len(vPQ.poset) - checked)
 
 
 # --- bi-valuations ---
@@ -517,30 +527,29 @@ class BiValuation:
     context with no entry has no row (None). ``table`` is a read-only
     (x, context)-keyed view of the rows, the mapping the constructor takes;
     ``dict(w.table)`` is a mutable copy.
-    ``_source`` holds, by position, the values of the valuation that
-    bivaluation_from_valuation derived the rows from, and ``_derived[t]``
-    whether row t is still the row it derived, with one quotient object per
-    meet x ^ t. Until something reads it, a derived row is an _Unbuilt,
-    which ``_row`` builds and keeps; a bi-valuation built from a table has
-    no derived row, and ``_put`` clears the flag of the row it writes.
+    A row that bivaluation_from_valuation derived from a valuation v, one
+    quotient object per meet x ^ t, is a _Derived: it carries v's values
+    and its entries, which ``_row`` divides on their first read. Any other
+    row is a list of its entries: a bi-valuation built from a table has no
+    derived row, and ``with_value`` writes a list copy of the row it
+    changes.
     """
 
     def __init__(self, poset: Poset, table: Mapping[tuple[str, str], Value]):
         self.poset, self._rows = poset, [None] * len(poset)
-        self._source, self._derived = None, [False] * len(poset)
         for (x, context), value in table.items():
             self._put(x, context, value)
 
     def _put(self, x: str, y: str, value: Value) -> None:
-        """Set w(x | y) in place, giving context y a row if it has none. A NaN
-        is refused, as no audit could fail it; an infinity is kept, as a
-        derived quotient can overflow to one."""
+        """Set w(x | y) in place, giving context y a row if it has none; a
+        row it writes is a list, never a _Derived. A NaN is refused, as no
+        audit could fail it; an infinity is kept, as a derived quotient can
+        overflow to one."""
         if x not in self.poset or y not in self.poset:
             raise UnknownElement(f"bi-valuation key ({x!r}, {y!r}) is not in the poset")
         if isinstance(value, float) and math.isnan(value):
             raise ValueError(f"bi-valuation key ({x!r}, {y!r}) has value NaN")
         t = self.poset._pos[y]
-        self._derived[t] = False
         row = self._rows[t] = self._rows[t] or [_UNDEFINED] * len(self.poset)
         row[self.poset._pos[x]] = _UNDEFINED if value is None else value
 
@@ -569,7 +578,7 @@ class BiValuation:
 
     def with_value(self, x: str, context: str, value: Value) -> "BiValuation":
         w = BiValuation(self.poset, {})  # shares every row but the one it changes
-        w._rows[:], w._source, w._derived[:] = self._rows, self._source, self._derived
+        w._rows[:] = self._rows
         t = self.poset._pos.get(context)
         if t is not None and w._rows[t] is not None:
             w._rows[t] = list(_row(self._rows, t))
@@ -580,7 +589,7 @@ class BiValuation:
 class _Table(Mapping):
     """A bi-valuation's ``table``: its rows as a read-only mapping from
     (x, context) to w(x | context), or None where undefined. Its length
-    builds no row; reading an entry builds that entry's row."""
+    divides no row; reading an entry divides that entry's row."""
 
     __slots__ = ("_w",)
 
@@ -620,10 +629,7 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
                              f"{len(audit.violations)} pairs; cannot condition on it")
     w = BiValuation(p, {})
     p._require_lattice()
-    w._source = values
-    for t, vt in enumerate(values):
-        if vt > 0:
-            w._rows[t], w._derived[t] = _Unbuilt(p, values, t), True
+    w._rows = [_Derived(p, values, t) if vt > 0 else None for t, vt in enumerate(values)]
     return w
 
 
@@ -632,7 +638,11 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
     diamond and context rules, and with ``modular`` of its per-context sum
     rule on a distributive lattice, that reads only such rows can violate
     at tol (module docstring). The sum rule holds below row t when no
-    position x <= t is in _modular's mask.
+    position x <= t is in _modular's mask. With ``modular`` it decides
+    distributivity first, so a poset that is not a lattice raises
+    NotALattice; without, it reads no meet or join. The values are those
+    of any derived row: bivaluation_from_valuation gives each row the same
+    list, and with_value shares the rows it does not change.
 
     The quotients of values that _arithmetic names "exact" are Fractions
     when no v(t) > 0 is an int. Over an int they are correctly rounded
@@ -648,7 +658,11 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
     gradual underflow adds at most 2**-1075 to a rounding). So any
     tolerance of at least 2**-49 M passes them; M stays at most 2**1000, so
     no quotient or product overflows."""
-    values, none = w._source, [False] * len(w._rows)
+    none = [False] * len(w._rows)
+    if modular and not _distributive(w.poset):
+        return none
+    derived = [type(row) is _Derived for row in w._rows]
+    values = next((row.values for row in w._rows if type(row) is _Derived), None)
     kind = values is not None and _arithmetic(values)
     if kind == "exact" and any(type(e) is int and e > 0 for e in values):
         kind = "float" if set(map(type, values)) == {int} else None
@@ -660,9 +674,9 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
         if not (m <= 2 ** 1000 and tol >= m / 2 ** 49):
             return none
     if not modular:
-        return w._derived
+        return derived
     bad = _modular(w.poset, values)
-    return [derived and not down & bad for derived, down in zip(w._derived, w.poset._down_t)]
+    return [d and not down & bad for d, down in zip(derived, w.poset._down_t)]
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -690,10 +704,10 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
                 map(mul, map(rows[y].__getitem__, down_y), repeat(rows[z][y])),
                 scale[z] * scale[y])
 
-    def found(key, ks):
+    def found(rows, key, ks):
         z, y = key
         for x in map(_table(p, "down")[y].__getitem__, ks):
-            yield (x, y, z), raw[z][x], raw[y][x] * raw[z][y]
+            yield (x, y, z), rows[z][x], rows[y][x] * rows[z][y]
     return _kernel("chain", tol, p, raw, counts, blocks, block, found, proved=_proved(w, tol))
 
 
@@ -706,9 +720,9 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     def block(rows, scale, x):
         return rows[x], map(rows[x].__getitem__, _table(p, "meet")[x]), scale[x]
 
-    def found(x, ys):
+    def found(rows, x, ys):
         meet_x = _table(p, "meet")[x]
-        return (((x, y), raw[x][y], raw[x][meet_x[y]]) for y in ys)
+        return (((x, y), rows[x][y], rows[x][meet_x[y]]) for y in ys)
     return _kernel("diamond", tol, p, raw, lambda empty: (n * n, n * (n - len(empty))),
                    lambda unproved: ((x, (x,), n) for x in sorted(unproved)),
                    block, found, proved=_proved(w, tol))
@@ -761,11 +775,11 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
         return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
 
-    def found(key, zs):
+    def found(rows, key, zs):
         x, y = key
         meet = _table(p, "meet")
         for z in zs:
-            yield (x, y, z), raw[x][meet[y][z]], raw[meet[x][y]][z] * raw[x][y]
+            yield (x, y, z), rows[x][meet[y][z]], rows[meet[x][y]][z] * rows[x][y]
     return _kernel("context", tol, p, raw, counts, blocks, block, found,
                    proved=_proved(w, tol))
 
@@ -774,9 +788,7 @@ def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
     """Audit the sum rule inside every available context t; instances (t, x, y).
 
     Only a distributive lattice proves a row or tests it on its pair
-    classes, and there every derived row is diamond-exact."""
-    p, contexts = w.poset, [t for t, row in enumerate(w._rows) if row is not None]
-    if not _distributive(p):
-        return _sum_rule("bisum", p, w._rows, contexts, tol, [False] * len(p))
-    return _sum_rule("bisum", p, w._rows, contexts, tol, _proved(w, tol, modular=True),
-                     w._derived)
+    classes, and there every derived row is diamond-exact. _proved decides
+    distributivity first, so a poset that is not a lattice is refused
+    before any row is read."""
+    return _sum_rule("bisum", w.poset, w._rows, tol, _proved(w, tol, modular=True))

@@ -168,6 +168,15 @@ def test_a_bivaluation_derived_on_a_poset_that_is_not_a_lattice_is_refused(bowti
         bivaluation_from_valuation(v, validate=False)
 
 
+@pytest.mark.parametrize("tol", [valuation.DEFAULT_TOL, -1.0])
+def test_the_bivaluation_sum_rule_refuses_a_poset_that_is_not_a_lattice(bowtie, tol):
+    # before any other work: with no row to read, and before the tolerance
+    table = {(x, t): Fraction(1, 2) for x in "pqrs" for t in "rs" if bowtie.leq(x, t)}
+    for w in (BiValuation(bowtie, {}), BiValuation(bowtie, table)):
+        with pytest.raises(ordinal.NotALattice, match="witness pair"):
+            check_bivaluation_sum_rule(w, tol)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_monotone_on_a_poset_that_is_not_a_lattice(bowtie, data):
@@ -215,16 +224,21 @@ def fresh(value):
 
 
 def changed_quotient(w, t, x, delta):
-    """w with the object that row t holds at x replaced, wherever row t
-    holds it, by that value plus delta in a new object, and with no source:
-    row t stays diamond-exact, so each row keeps its derived flag and bisum
-    its stand-ins, but no row is proved."""
-    changed = BiValuation(w.poset, {})
-    changed._rows[:], changed._derived[:] = w._rows, w._derived
-    row = valuation._row(w._rows, t)
-    old = row[x]
-    new = old + delta
-    changed._rows[t] = [new if e is old else e for e in row]
+    """w, every row of which is derived, with the object that row t holds
+    at x replaced, wherever row t holds it, by that value plus delta in a
+    new object. Row t stays diamond-exact, so each row stays a _Derived and
+    bisum keeps its stand-ins; each is a new _Derived with its entries
+    built and with source values that hold a hole, which _arithmetic names
+    no arithmetic, so no row is proved."""
+    changed, source = BiValuation(w.poset, {}), [None] * len(w.poset)
+    for u in (u for u, row in enumerate(w._rows) if row is not None):
+        entries = valuation._row(w._rows, u)
+        if u == t:
+            old = entries[x]
+            new = old + delta
+            entries = [new if e is old else e for e in entries]
+        row = changed._rows[u] = valuation._Derived(w.poset, source, u)
+        row.entries = entries
     return changed
 
 
@@ -627,7 +641,7 @@ def test_failing_stand_ins_decide_diamond_exact_rows(monkeypatch, name, change):
         w = changed_quotient(w, len(lat) - 1, lat._pos[middle], 0.5)
     # every row with a context is derived, and at tolerance 0 no float row
     # is proved
-    assert all(w._derived[1:]) and w._rows[0] is None
+    assert all(type(row) is valuation._Derived for row in w._rows[1:]) and w._rows[0] is None
     ran = kernel_blocks(monkeypatch)
     reports = [(check(w, 0), reference(w, 0)) for check, reference in REDUCED_RULES]
     # the stand-ins decide every bisum block, the failing ones included, and
@@ -693,24 +707,33 @@ def test_built_rows_share_their_quotients_and_copied_rows_do_not():
 
     def rows(u):
         return [valuation._row(u._rows, t) for t in range(len(lat))]
-    # each built row is derived and holds at x the very quotient it holds at
-    # x ^ t; the bottom has measure 0 and no row
-    assert w._derived == [False] + [True] * top
+
+    def plain(u):
+        """The ids of u's rows that are not derived, None rows included."""
+        return [lat._at[t] for t, row in enumerate(u._rows) if type(row) is not valuation._Derived]
+    # each row with a context is derived, and once built holds at x the very
+    # quotient it holds at x ^ t; the bottom has measure 0 and no row
+    assert plain(w) == ["{}"] and w._rows[0] is None
     assert all(row[x] is row[m] for row, meets in zip(rows(w)[1:], meet[1:])
                for x, m in enumerate(meets))
-    # with_value copies the row it changes and clears its flag only; every
-    # other row and flag is shared, and so is the source
+    # with_value copies the row it changes into a list; every other row is
+    # the very row of w, and each derived row carries the one source list,
+    # which still proves every derived row
     changed = w.with_value("{a}", "{a,b}", w.get("{a}", "{a,b}") + 0.5)
-    assert [lat._at[t] for t, ok in enumerate(changed._derived) if not ok] == ["{}", "{a,b}"]
-    assert all(new is old for t, (new, old) in enumerate(zip(rows(changed), rows(w))) if t != ab)
-    assert rows(changed)[ab] is not rows(w)[ab] and changed._source is w._source
-    # a hole clears its row's flag too, and w keeps its own
+    assert plain(changed) == ["{}", "{a,b}"]
+    assert all(new is old for t, (new, old) in enumerate(zip(changed._rows, w._rows)) if t != ab)
+    assert rows(changed)[ab] is not rows(w)[ab]
+    assert len({id(row.values) for u in (w, changed) for row in u._rows[1:]
+                if type(row) is valuation._Derived}) == 1
+    assert valuation._proved(changed, 1.0) == [t not in (0, ab) for t in range(len(lat))]
+    # a hole makes its row a list too, and w keeps its own rows
     holed = w.with_value("{c}", "{a,b}", None)
-    assert [lat._at[t] for t, ok in enumerate(holed._derived) if not ok] == ["{}", "{a,b}"]
-    assert w._derived == [False] + [True] * top
-    # a table copied from w has no derived row and no source
+    assert plain(holed) == ["{}", "{a,b}"] and plain(w) == ["{}"]
+    assert valuation._proved(w, 1.0) == [False] + [True] * top
+    # a table copied from w has no derived row, so no source and no proof
     copied = BiValuation(lat, w.table)
-    assert copied._derived == [False] * len(lat) and copied._source is None
+    assert len(plain(copied)) == len(lat)
+    assert valuation._proved(copied, 1.0) == [False] * len(lat)
 
 
 def row_builds(monkeypatch):
@@ -722,6 +745,19 @@ def row_builds(monkeypatch):
         return build(unbuilt)
     monkeypatch.setattr(valuation, "_build_row", spy)
     return built
+
+
+def test_a_row_that_a_with_value_copy_shares_is_divided_once(monkeypatch):
+    # int ranks at tolerance 0 prove no row, so each chain audit reads
+    # every row; the copy and w share the 62 rows the copy does not change
+    lat = boolean_lattice("abcdef")
+    w = derived(ranks(lat))
+    built = row_builds(monkeypatch)
+    changed = w.with_value("{a}", "{a,b}", 0.5)
+    assert built == [lat._pos["{a,b}"]]
+    for u in (changed, w):
+        assert_same_report(check_chain_rule(u, 0), ref.check_chain_rule(u, 0))
+    assert sorted(built) == list(range(1, len(lat)))
 
 
 @pytest.mark.parametrize("kind", ["float", "fraction"])

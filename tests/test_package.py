@@ -97,7 +97,13 @@ def test_an_unknown_attribute_names_the_module():
         ordinal.nonsense
 
 
-@pytest.mark.parametrize("ref", [entry[0] for table in (cli.AUDITS, cli.GENERATORS)
-                                 for entry in table.values()])
-def test_every_cli_table_entry_resolves_to_a_function(ref):
-    assert callable(cli._resolve(ref))
+CLI_FUNCTIONS = [entry[0] for table in (cli.AUDITS, cli.GENERATORS) for entry in table.values()]
+
+
+@pytest.mark.parametrize("name", CLI_FUNCTIONS,
+                         ids=[f"{ordinal._SUBMODULE_OF[name]}:{name}" for name in CLI_FUNCTIONS])
+def test_every_cli_table_entry_resolves_to_a_function(name):
+    # each entry is a package export, defined in the submodule _EXPORTS names
+    function = getattr(ordinal, name)
+    assert callable(function)
+    assert function.__module__ == f"ordinal.{ordinal._SUBMODULE_OF[name]}"

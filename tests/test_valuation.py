@@ -246,6 +246,23 @@ def test_perturbed_product_valuation_flagged_once():
     assert tuple(report.violations[0].instance) == ("1", "1")
 
 
+def test_product_rule_skips_and_counts_the_instances_that_read_a_hole():
+    b1 = boolean_lattice("a")
+    prod = lattice_product(b1, b1)
+    vpq = Valuation(prod, {pair_id(x, y): 0 for x in b1.elements for y in b1.elements})
+    # v({a}) has no value, so three of the four instances read a hole: in P,
+    # in Q or in both; the one that reads none violates
+    holed = Valuation(b1, {"{}": 1, "{a}": None})
+    report = check_product_rule_for_lattice_product(holed, holed, vpq, tol=0)
+    assert (report.checked, report.skipped) == (1, 3)
+    assert [(v.instance, v.lhs, v.rhs) for v in report.violations] == [(("{}", "{}"), 0, 1)]
+    # a hole in the product valuation skips its one instance
+    report = check_product_rule_for_lattice_product(
+        Valuation(b1, {"{}": 0, "{a}": 1}), Valuation(b1, {"{}": 0, "{a}": 1}),
+        vpq.replace(pair_id("{a}", "{a}"), None), tol=0)
+    assert (report.checked, report.skipped, report.passed) == (3, 1, True)
+
+
 def test_product_rule_lattice_mismatch(b3):
     c2 = chain_poset(["0", "1"])
     v = Valuation(c2, {"0": 0, "1": 1})
