@@ -22,12 +22,14 @@ in n x n tables, one per lattice. A valuation is such a row, and a
 bi-valuation is stored as its rows. Each rule tests its instances in blocks
 that read one or two rows. ``_arithmetic`` classifies each row, and a block
 whose rows are all exact (each value an int or a Fraction) tests integers,
-each row scaled to the lcm of its denominators, where a difference d at
-scale S violates iff |d| > floor(tol * S), which is exactly
-|lhs - rhs| > tol. Any other block is tested on the values as they are,
-with the same operations as a plain loop, so float residuals are
-bit-identical. Only the instances that violate have their sides computed,
-on the raw values, with the block's own operations.
+each row scaled to the lcm of its denominators. The block's scale S is the
+product of the scales of the rows it reads, and a difference d violates iff
+|d| > floor(tol * S), which is exactly |lhs - rhs| > tol. Any other block
+is tested on the values as they are, with the same operations as a plain
+loop, so float residuals are bit-identical. A block labels each of its
+differences with the instance it decides, and the labels of the failing
+differences are picked in one pass; only those instances have their sides
+computed, on the raw values, with the block's own operations.
 
 A row's provenance decides whether its blocks are evaluated at all. Each row
 of ``bivaluation_from_valuation`` is a ``_Derived``: it carries the values of
@@ -58,12 +60,11 @@ instances. A failing class fails each instance in it, with its sides.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress, count, product, repeat
-from operator import add, countOf, is_, mul, not_, or_, sub
+from itertools import chain, combinations, compress, count, product, repeat
+from operator import add, is_, lt, mul, not_, or_, sub
 from typing import Union
 
 from ._record import Record, set_field
@@ -154,6 +155,7 @@ def derive_valuation_from_atoms(lat: Poset, atom_values: Mapping[str, Value]) ->
 _UNDEFINED = type("Undefined", (), {
     **dict.fromkeys(("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"),
                     lambda self, other: self),
+    "__abs__": lambda self: self,
     **dict.fromkeys(("__gt__", "__ge__"), lambda self, other: True),
     **dict.fromkeys(("__lt__", "__le__"), lambda self, other: False)})()
 
@@ -228,34 +230,38 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     in position t, or _UNDEFINED, and a row of None is empty. The kernel
     takes a row's entries (``_row``) on a block's first read of it, so a
     _Derived row that no evaluated block reads is never divided.
-    Each block has a key, the context rows it reads and a number of
-    instances; every instance reads each of those rows, so a block reading
-    a row with no defined value is skipped whole. ``counts(empty)`` gives
-    the rule's number of instances and the number in blocks that read no
-    row of ``empty``, the set of empty rows.
+    ``counts(empty)`` gives the rule's number of instances and the number
+    in blocks that read no row of ``empty``, the set of empty rows.
     ``proved`` has a bool per row: the caller vouches that a proved row
     holds no hole and that no instance of a block reading only proved rows
     violates, so such a block counts as checked and is not evaluated.
-    ``blocks(unproved)`` yields, once each and in key order, the key, reads
-    and size of each block that reads a row of ``unproved``, the non-empty
-    rows that are not proved. Only those blocks are evaluated: with no row
-    proved, every block that reads a non-empty row. So checked is the
-    number of instances in blocks that read no empty row less the
-    undefined instances of the evaluated blocks, and skipped is the rest
-    of the total.
-    ``block(rows, scale, key)`` gives a block's lhs and rhs streams and
-    their scale, on the rows _arithmetic names exact in integers (row t
-    times scale[t], the lcm of its denominators, scaled when a block first
-    reads it) or on raw at scale 1. Each difference decides one instance, or a class of
+    ``blocks(unproved)`` yields, once each and in key order, the key, the
+    rows it reads and the labels of each block that reads a row of
+    ``unproved``, the non-empty rows that are not proved. Every instance of
+    a block reads each of its rows, so a block that reads an empty row is
+    skipped whole; only the others are evaluated, which with no row proved
+    is every block that reads a non-empty row.
+    ``block(rows, scale, key)`` gives a block's lhs and rhs streams, one
+    difference per label and in the labels' order, either on the rows that
+    _arithmetic names exact, in integers (row t times scale[t], the lcm of
+    its denominators, scaled when a block first reads it), or on raw with
+    every scale 1. Scaling each read row t by s_t scales each side by the
+    product of the s_t over ``reads``, counting a repeated read each time
+    it appears, so the kernel takes that product of the scales as the
+    block's and a difference d at scale S violates iff |d| > floor(tol * S).
+    A label names the instance that its difference decides, or a class of
     instances that read the very same objects; the caller vouches that
     such a class holds no hole and that the differences it leaves out,
-    none where every difference is an instance, cannot violate. So an
-    evaluated block checks its instances but the undefined ones, which it
-    skips. ``found(rows, key, ks)`` yields the positions and raw sides, with
+    none where every difference is an instance, cannot violate.
+    ``found(rows, key, failing)`` yields the positions and raw sides, with
     the block's operands in the block's order, of each instance that the
-    violating differences ks decide, reading the entries ``rows[t]`` of the
-    rows the block read; it runs only for a block that fails, so no block
-    is evaluated a second time.
+    failing labels decide, reading the entries ``rows[t]`` of the rows the
+    block read; it runs only for a block that fails, so no block is
+    evaluated a second time. An undefined difference fails, and an
+    instance with an undefined side is skipped, not reported. So checked is
+    the number of instances in blocks that read no empty row less the
+    undefined instances of the evaluated blocks, and skipped is the rest of
+    the total.
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
@@ -264,9 +270,10 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     unproved = set(compress(count(), map(not_, proved))).difference(empty)
     n = len(raw)
     built, rows, scale, ones, inexact = [None] * n, [None] * n, [1] * n, [1] * n, set()
-
-    def differences(key, reads):
-        """lhs - rhs of the block key, and the bound their sizes must keep."""
+    violations = []
+    for key, reads, labels in blocks(unproved):
+        if not empty.isdisjoint(reads):
+            continue  # skipped whole, as counts says
         for t in reads:  # each row is read, and scaled if exact, on its first read
             if built[t] is None:
                 row = built[t] = _row(raw, t)
@@ -276,24 +283,19 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
                 else:
                     inexact.add(t)
         if inexact.isdisjoint(reads):
-            lhs, rhs, s = block(rows, scale, key)
-            return list(map(sub, lhs, rhs)), num * s // den
-        lhs, rhs, _ = block(built, ones, key)
-        return list(map(sub, lhs, rhs)), tol
-
-    violations = []
-    for key, reads, size in blocks(unproved):
-        if not size or not empty.isdisjoint(reads):
-            continue  # skipped whole, as counts says
-        diffs, above = differences(key, reads)
+            diffs = list(map(sub, *block(rows, scale, key)))
+            above = num * math.prod(map(scale.__getitem__, reads)) // den
+        else:
+            diffs, above = list(map(sub, *block(built, ones, key))), tol
         # a NaN never violates: max and min skip it, unless it comes
-        # first, and then the test fails and the scan below decides
+        # first, and then the test fails and the pick below decides
         if not diffs or max(diffs) <= above and (signed or -above <= min(diffs)):
             continue
-        checked -= countOf(diffs, _UNDEFINED)
-        failing = [k for k, d in enumerate(diffs)
-                   if d is not _UNDEFINED and (d if signed else abs(d)) > above]
+        failing = compress(labels, map(lt, repeat(above), diffs if signed else map(abs, diffs)))
         for positions, a, b in found(built, key, failing):
+            if a is _UNDEFINED or b is _UNDEFINED:
+                checked -= 1
+                continue
             ids = tuple(map(p._at.__getitem__, positions))
             violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
     return build_report(rule, checked, tol, violations, total - checked)
@@ -373,22 +375,12 @@ def _modular(p: Poset, values) -> int:
                if e != total)
 
 
-def _pairs(d):
-    """The function from k to the k-th pair (a, b) of d, a before b, as the
-    sum rule lists them."""
-    starts = list(accumulate(range(len(d) - 1, 0, -1), initial=0))  # pairs before a = d[i]
-
-    def pair(k):
-        i = bisect_right(starts, k) - 1
-        return d[i], d[i + 1 + k - starts[i]]
-    return pair
-
-
 def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
     """The sum rule in each context, each row of raw that is not None;
     instances (x, y) or (t, x, y), ids x < y.
 
-    Row t's block (t, d) tests the pairs (a, b) of d, a before b. d lists
+    Row t's block (t, d) tests the pairs (a, b) of d, a before b, which
+    label its differences in the order combinations(d, 2) lists them. d lists
     every id, so that each pair is an instance, unless row t is a _Derived
     on a distributive lattice, and so diamond-exact. Then d is t's
     down-set and each pair is a class: the instance (t, x, y) reads the
@@ -411,7 +403,8 @@ def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
         for t in contexts:
             if t in unproved:
                 classes = type(raw[t]) is _Derived and _distributive(p)
-                yield (t, _table(p, "down")[t] if classes else ids), (t,), size
+                d = _table(p, "down")[t] if classes else ids
+                yield (t, d), (t,), combinations(d, 2)
 
     def sides(row, d):
         """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
@@ -425,15 +418,15 @@ def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
 
     def block(rows, scale, key):
         t, d = key
-        return (*sides(rows[t], d), scale[t])
+        return sides(rows[t], d)
 
-    def found(rows, key, ks):
+    def found(rows, key, pairs):
         t, d = key
-        row, pair, fiber = rows[t], _pairs(d), {}
+        row, fiber = rows[t], {}
         # fiber[m] holds the x with x ^ t = m, or m alone when d is every id
         for x, m in enumerate(range(n) if d is ids else _table(p, "meet")[t]):
             fiber.setdefault(m, []).append(x)
-        for a, b in map(pair, ks):
+        for a, b in pairs:
             lhs, rhs = map(next, sides(row, (a, b)))
             for x, y in product(fiber[a], fiber[b]):
                 x, y = (x, y) if p._at[x] < p._at[y] else (y, x)
@@ -456,8 +449,10 @@ def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     row _arithmetic names, the kernel then adds each side exactly, or
     rounds both to the same float or overflows both to the same infinity,
     so each difference is 0 or NaN, which no tolerance fails. So the pairs
-    are counted, not evaluated."""
+    are counted, not evaluated. The lattice is certified first, so a poset
+    that is not one is refused whatever values are defined."""
     p, row = v.poset, _valuation_row(v)
+    p._require_lattice()
     proved = _arithmetic(row) and _distributive(p) and not _modular(p, row)
     return _sum_rule("sum", p, [row], tol, [proved])
 
@@ -473,20 +468,21 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     pair passes at any tolerance, and the audit is counted from the
     down-set sizes."""
     p, row = v.poset, _valuation_row(v)
-    sizes = [mask.bit_count() - 1 for mask in p._down_t]
+    total = sum(mask.bit_count() - 1 for mask in p._down_t)
     proved = bool(_arithmetic(row)) and all(v.values[a] <= v.values[b] for a, b in p.covers)
 
     def counts(empty):
-        return sum(sizes), 0 if empty else sum(sizes)
+        return total, 0 if empty else total
 
     def blocks(unproved):
-        return ((y, (0,), size) for y, size in enumerate(sizes) if unproved)
+        for y, down_y in enumerate(_table(p, "down") if unproved else ()):
+            yield y, (0,), down_y[:-1]
 
     def block(rows, scale, y):
-        return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y]), scale[0]
+        return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y])
 
-    def found(rows, y, ks):
-        for x in map(_table(p, "down")[y].__getitem__, ks):
+    def found(rows, y, xs):
+        for x in xs:
             yield (x, y), rows[0][x], rows[0][y]
     return _kernel("monotone", tol, p, [row], counts, blocks, block, found, signed=True,
                    proved=[proved])
@@ -695,18 +691,17 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
         for z in _above(p, unproved):
             down = _table(p, "down")
             for y in down[z] if z in unproved else [y for y in down[z] if y in unproved]:
-                yield (z, y), (z, y), len(down[y])
+                yield (z, y), (z, y), down[y]
 
     def block(rows, scale, key):
         z, y = key
         down_y = _table(p, "down")[y]
         return (_times(map(rows[z].__getitem__, down_y), scale[y]),
-                map(mul, map(rows[y].__getitem__, down_y), repeat(rows[z][y])),
-                scale[z] * scale[y])
+                map(mul, map(rows[y].__getitem__, down_y), repeat(rows[z][y])))
 
-    def found(rows, key, ks):
+    def found(rows, key, xs):
         z, y = key
-        for x in map(_table(p, "down")[y].__getitem__, ks):
+        for x in xs:
             yield (x, y, z), rows[z][x], rows[y][x] * rows[z][y]
     return _kernel("chain", tol, p, raw, counts, blocks, block, found, proved=_proved(w, tol))
 
@@ -718,13 +713,13 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     p._require_lattice()
 
     def block(rows, scale, x):
-        return rows[x], map(rows[x].__getitem__, _table(p, "meet")[x]), scale[x]
+        return rows[x], map(rows[x].__getitem__, _table(p, "meet")[x])
 
     def found(rows, x, ys):
         meet_x = _table(p, "meet")[x]
         return (((x, y), rows[x][y], rows[x][meet_x[y]]) for y in ys)
     return _kernel("diamond", tol, p, raw, lambda empty: (n * n, n * (n - len(empty))),
-                   lambda unproved: ((x, (x,), n) for x in sorted(unproved)),
+                   lambda unproved: ((x, (x,), range(n)) for x in sorted(unproved)),
                    block, found, proved=_proved(w, tol))
 
 
@@ -766,14 +761,14 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
             meet_x = _table(p, "meet")[x]
             for y in range(n) if x in unproved else [y for y, m in enumerate(meet_x)
                                                      if m in unproved]:
-                yield (x, y), (x, meet_x[y]), n
+                yield (x, y), (x, meet_x[y]), range(n)
 
     def block(rows, scale, key):
         x, y = key
         meet = _table(p, "meet")
         xy = meet[x][y]
         return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
-                map(mul, rows[xy], repeat(rows[x][y])), scale[x] * scale[xy])
+                map(mul, rows[xy], repeat(rows[x][y])))
 
     def found(rows, key, zs):
         x, y = key
