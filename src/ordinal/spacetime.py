@@ -291,13 +291,13 @@ def causal_grid_poset(n: int) -> Poset:
 
     Covers step one unit of time and at most one unit of space. Element ids
     are grid_event_id's ``(t,x)``, written from the integers without
-    building the Events.
+    building the Events; (t, x) is event t * n + x.
     """
-    from .poset import build_poset
+    from .poset import _assemble, _ranked
 
     _require_grid_size(n)
-    ids = [[f"({t},{x})" for x in range(n)] for t in range(n)]
-    covers = [(here[x], later[x2])
-              for here, later in zip(ids, ids[1:])
-              for x in range(n) for x2 in (x - 1, x, x + 1) if 0 <= x2 < n]
-    return build_poset([e for row in ids for e in row], covers)
+    ids, rank = _ranked([f"({t},{x})" for t in range(n) for x in range(n)])
+    size = n * n
+    return _assemble(ids, sorted([rank[i] * size + rank[i + n + dx]
+                                  for i in range(size - n)
+                                  for dx in (-1, 0, 1) if 0 <= i % n + dx < n]))

@@ -1,19 +1,26 @@
-"""The lattice generators as they were before they wrote ids from integer
-encodings, kept for testing.
+"""The poset builder and the lattice generators as they were before they
+worked in index space, kept for testing.
 
-``boolean_lattice`` built a frozenset per subset, ``partition_lattice`` a
-``Partition`` per element and per two-block merge, and ``causal_grid_poset``
-an ``Event`` per grid point, with the bodies unchanged here. The
-differential tests check that the package's generators give the same
-elements and covers, so this is an oracle, not part of the package.
+``reference_build_poset`` stringified, de-duplicated and sorted every id
+and cover, kept a dict from id to index, and checked each cover for
+redundancy with one AND of two rows. ``boolean_lattice`` built a frozenset
+per subset, ``partition_lattice`` a ``Partition`` per element and per
+two-block merge, ``causal_grid_poset`` an ``Event`` per grid point, and
+``divisor_lattice`` trial-divided up to sqrt(n) for the divisors. The
+bodies are unchanged here, except that each builds through
+``reference_build_poset``. The differential tests check that the package
+gives the same elements, covers, positions and rows, so this is an
+oracle, not part of the package.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
-from ordinal.errors import TooManyAtoms
+from ordinal.errors import (BoundExceeded, CycleDetected, RedundantCover,
+                            TooManyAtoms, UnknownElement)
 from ordinal.partitions import Partition, all_partitions
-from ordinal.poset import Poset, build_poset, subset_id
+from ordinal.poset import Poset, subset_id
 from ordinal.spacetime import Event, causal_grid, grid_event_id
 
 
@@ -30,7 +37,7 @@ def boolean_lattice(atoms: Iterable[str]) -> Poset:
     elements = [subset_id(s) for s in subsets]
     covers = [(subset_id(s), subset_id(s | {a}))
               for s in subsets for a in atom_list if a not in s]
-    return build_poset(elements, covers)
+    return reference_build_poset(elements, covers)
 
 
 def partition_lattice(atoms: Iterable[str]) -> Poset:
@@ -53,7 +60,7 @@ def partition_lattice(atoms: Iterable[str]) -> Poset:
                 merged = ([list(b) for k, b in enumerate(blocks) if k not in (i, j)]
                           + [list(blocks[i]) + list(blocks[j])])
                 covers.add((part.literal(), Partition.from_blocks(merged).literal()))
-    return build_poset(elements, sorted(covers))
+    return reference_build_poset(elements, sorted(covers))
 
 
 def causal_grid_poset(n: int) -> Poset:
@@ -71,4 +78,103 @@ def causal_grid_poset(n: int) -> Poset:
             if 0 <= x2 < n:
                 covers.append((grid_event_id(e),
                                grid_event_id(Event(e.t + 1, x2))))
-    return build_poset([grid_event_id(e) for e in events], covers)
+    return reference_build_poset([grid_event_id(e) for e in events], covers)
+
+
+def divisor_lattice(n: int) -> Poset:
+    """Divisors of n under 'divides'; join is lcm and meet is gcd.
+
+    Each divisor d is covered by d * q for each prime q with d * q | n.
+    n is at most 10**12, because finding the divisors trial-divides up to
+    sqrt(n). Under that bound the most divisors, 6,720, belong to
+    963761198400, whose lattice builds in about 0.35 s.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if n > 10**12:
+        raise BoundExceeded(f"divisor lattice n = {n} exceeds 10**12")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)})
+    primes, rest, f = [], n, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    covers = [(str(d), str(d * q)) for d in divisors for q in primes if n % (d * q) == 0]
+    return reference_build_poset([str(d) for d in divisors], covers)
+
+
+def reference_build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:
+    """Validate cover input and compute reachability.
+
+    Rejects cyclic input (CycleDetected) and covers that are transitively
+    implied (RedundantCover). Cover endpoints must be declared elements.
+    """
+    ids = sorted({str(e) for e in elements})
+    if any(not e for e in ids):
+        raise ValueError("element ids must be non-empty strings")
+    index = {e: i for i, e in enumerate(ids)}
+    n = len(ids)
+
+    cover_pairs = sorted({(str(a), str(b)) for a, b in covers})
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for a, b in cover_pairs:
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise UnknownElement(f"cover endpoint {missing!r} is not an element")
+        if a == b:
+            raise CycleDetected(f"self-cover on {a!r}")
+        succ[index[a]].append(index[b])
+        pred[index[b]].append(index[a])
+
+    order = _topological_order(n, succ, pred, ids)
+    tp = [0] * n
+    for pos, i in enumerate(order):
+        tp[i] = pos
+
+    up_t = [0] * n
+    for pos in range(n - 1, -1, -1):  # tops first: successors accumulated
+        mask = 1 << pos
+        for j in succ[order[pos]]:
+            mask |= up_t[tp[j]]
+        up_t[pos] = mask
+    down_t = [0] * n
+    for pos in range(n):  # bottoms first
+        mask = 1 << pos
+        for j in pred[order[pos]]:
+            mask |= down_t[tp[j]]
+        down_t[pos] = mask
+
+    # [a, b] holds a and b, and anything else in it makes the cover redundant
+    for a, b in cover_pairs:
+        ta, tb = tp[index[a]], tp[index[b]]
+        interval = up_t[ta] & down_t[tb]
+        if interval.bit_count() > 2:
+            between = interval & ~(1 << ta | 1 << tb)
+            middle = ids[order[(between & -between).bit_length() - 1]]
+            raise RedundantCover(
+                f"cover ({a!r}, {b!r}) is implied through {middle!r}")
+
+    return Poset(ids, cover_pairs, order, up_t, down_t)
+
+
+def _topological_order(n, succ, pred, ids) -> list[int]:
+    indegree = [len(p) for p in pred]
+    stack = [i for i in range(n) if indegree[i] == 0]
+    order = []
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                stack.append(j)
+    if len(order) != n:
+        stuck = [ids[i] for i in range(n) if indegree[i] > 0]
+        raise CycleDetected(f"cover relation has a cycle through {stuck[:4]}")
+    return order

@@ -12,6 +12,7 @@ from ordinal import (BoundExceeded, CycleDetected, LatticeCertificate,
                      divisor_lattice, lattice_product, pair_id, parse_subset_id,
                      partition_lattice, subset_id, verify_consistency_relations)
 from ordinal.poset import Poset, StandardContext, _enumerate_consistency
+from ordinal.spacetime import causal_grid_poset
 
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
 
@@ -305,6 +306,35 @@ def assert_certificate_matches_brute_force(p):
 ], ids=["B4-no-top", "B4-no-bottom", "bowtie", "M3", "N5", "two-meet-candidates"])
 def test_certificate_matches_brute_force_on_fixed_posets(factory):
     assert_certificate_matches_brute_force(factory())
+
+
+BOWTIE = [("p", "r"), ("p", "s"), ("q", "r"), ("q", "s")]
+UNBOUNDED = {
+    **{f"grid-{n}": lambda n=n: causal_grid_poset(n) for n in range(2, 9)},
+    **{f"B{n}-no-top": lambda n=n: without(boolean_lattice("abcdef"[:n]),
+                                           subset_id("abcdef"[:n])) for n in range(2, 7)},
+    **{f"B{n}-no-bottom": lambda n=n: without(boolean_lattice("abcdef"[:n]), "{}")
+       for n in range(2, 7)},
+    "bowtie": lambda: build_poset("pqrs", BOWTIE),
+    "antichain": lambda: build_poset(SUITS, []),
+    # bounded, so it reaches the standard context
+    "bounded-bowtie": lambda: build_poset("01pqrs", BOWTIE + [("0", "p"), ("0", "q"),
+                                                              ("r", "1"), ("s", "1")]),
+}
+
+
+@pytest.mark.parametrize("name", UNBOUNDED)
+def test_witness_without_a_bottom_or_top_matches_brute_force(name):
+    # a non-empty poset without a bottom or a top is refused before the
+    # standard context is built; the witness scan then runs as before
+    assert_certificate_matches_brute_force(UNBOUNDED[name]())
+
+
+@pytest.mark.parametrize("p", [build_poset([], []), build_poset(["a"], [])],
+                         ids=["empty", "one-element"])
+def test_empty_and_one_element_posets_are_lattices(p):
+    cert = p.is_lattice()
+    assert cert.is_lattice and cert.witness is None
 
 
 @settings(max_examples=200, deadline=None)
