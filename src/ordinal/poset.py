@@ -15,21 +15,23 @@ A finite lattice is also fixed by its join-irreducibles J and
 meet-irreducibles M: it is the concept lattice of (J, M, <=) (Ganter &
 Wille, Formal Concept Analysis, basic theorem). Certification builds that
 standard context, each element's extent (the J below it, |J| bits) and
-intent (the M above it, |M| bits), in one pass over the covers each way
-plus n * |M| lookups; ``Poset._standard_context`` says why its three checks
-decide lattice-ness. Once a lattice is certified, meet is the element whose
-extent is the intersection of the two extents, and join the element whose
-intent is the intersection of the two intents, so neither reads an n-bit
-row: 12 and 12 bits at 12 boolean atoms, 28 and 127 at 8 partition atoms,
-against rows of 4096 and 4140 bits. Certifying those two takes about 0.05
-and 0.09 s, and 14 boolean atoms (16,384 elements) 0.3 s (CPython 3.11 on a
-shared 2-vCPU VM). Before a passing certificate exists, and on
-non-lattices, join and meet read the rows. Nothing is memoised per pair, so
-a poset's memory stays at its two row tables plus, once certified, two
-lists of n narrow masks indexed by position and their two inverse dicts.
-Below the public methods everything is numbered by topological position:
-``leq``, ``join`` and ``meet`` turn their two ids into positions once, and
-the certificate's tables hold positions only.
+intent (the M above it, |M| bits), in one pass each way over the lower
+covers that ``_assemble`` lists by position, plus n * |M| lookups;
+``Poset._standard_context`` says why its two checks decide lattice-ness.
+Once a lattice is certified, meet is the element whose extent is the
+intersection of the two extents, and join the element whose intent is the
+intersection of the two intents, so neither reads an n-bit row: 12 and 12
+bits at 12 boolean atoms, 28 and 127 at 8 partition atoms, against rows of
+4096 and 4140 bits. Certifying those two takes about 0.01 and 0.05 s, and
+14 boolean atoms 0.08 s (CPython 3.11.7 on a shared 2-vCPU VM). Before a
+passing certificate exists, and on non-lattices, join and meet read the
+rows. A poset holds its ids and string covers, two row tables and its
+lower-cover lists (a position per cover); once certified, two lists of n
+narrow masks by position and their inverse dicts; once audited, the n-by-n
+meet and join tables and down-set lists that ``valuation._table`` keeps in
+``_tables``. Below the public methods everything is numbered by topological
+position: ``leq``, ``join`` and ``meet`` turn their two ids into positions
+once, and the certificate's tables hold positions only.
 The consistency audit, x <= y iff x v y = y iff x ^ y = x, first proves the
 statement for all n**2 pairs from those same tables, which ``leq``, ``join``
 and ``meet`` read (``Poset._consistency_holds``): 0.03-0.05 s at 12 boolean
@@ -46,6 +48,8 @@ Conventions:
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
 from ._record import Record, set_field
@@ -118,7 +122,8 @@ class Poset:
     """Validated finite poset; construct via :func:`build_poset` or a generator."""
 
     def __init__(self, elements: Sequence[str], covers: Sequence[tuple[str, str]],
-                 order: list[int], up_t: list[int], down_t: list[int]):
+                 order: list[int], up_t: list[int], down_t: list[int],
+                 lower: list[list[int]]):
         self.elements: tuple[str, ...] = tuple(elements)
         self.covers: tuple[tuple[str, str], ...] = tuple(covers)
         # order[pos] = lexicographic index of the element at topological
@@ -128,6 +133,8 @@ class Poset:
         self._pos = {e: pos for pos, e in enumerate(self._at)}
         self._up_t = up_t
         self._down_t = down_t
+        # lower[pos] lists the positions that pos covers, in no fixed order
+        self._lower = lower
         self._full = (1 << len(self.elements)) - 1
         self._certificate: LatticeCertificate | None = None
         # the passing certificate's context, which join and meet read on
@@ -262,36 +269,34 @@ class Poset:
         """The standard context (J, M, <=), or None if this is not a lattice.
 
         J holds the elements with exactly one lower cover, M those with
-        exactly one upper cover. A finite poset is a lattice iff
+        exactly one upper cover. A non-empty lattice has a bottom and a top,
+        so a poset missing either is refused first, from two rows. A finite
+        poset with both is a lattice iff
           (a) each x is the least upper bound of ext(x), the J below it;
-          (b) ext(x) & ext(m) is some element's extent, for each x and m in M;
-          (c) ext(x) is the intersection of ext(m) over the m in M above x.
-        (a) makes x -> ext(x) an order embedding, so ext(x) & ext(y), when it
-        is an extent, is the extent of the meet. By (c) it is the running
-        intersection of ext(x) with each ext(m) above y, and by (b) each step
-        stays an extent, so every pair has a meet. (c) gives each maximal
-        element all of J, and (a) then allows only one, a top. Conversely a
-        lattice has all three: x is the join of ext(x) and the meet of the M
-        above it. Elements of J satisfy (a), and of M satisfy (c), by
-        definition; by induction along the covers, any other x satisfies (a)
-        iff its up-set is the intersection of its lower covers' up-sets (the
-        whole poset for none), and (c) iff its extent is the intersection of
-        its upper covers' extents (all of J for none). So (a) and (c) cost
-        one pass over the covers each, and (b) costs n * |M| lookups.
-        A non-empty lattice has a bottom and a top, so a poset missing
-        either is refused first, from two rows.
+          (b) ext(x) & ext(m) is some element's extent, for each x and m in M.
+        A lattice has both: x is the join of ext(x), and ext(x) & ext(m) is
+        the extent of x ^ m. Conversely, (a) makes x -> ext(x) an order
+        embedding, and (c) ext(y) is the intersection of ext(m) over the m in
+        M above y, by induction down from the top, whose extent is all of J:
+        if y has upper covers d1..dk, k >= 2, each ext(di) is such an
+        intersection, so by (b) their intersection is an extent, ext(w) with
+        y <= w <= each di; w is no di, as the di are distinct covers of y,
+        so w = y. So ext(x) & ext(y) is the running intersection of ext(x)
+        with each ext(m) above y, each step an extent by (b): the extent of
+        the meet. With a top and all meets, a finite poset is a lattice.
+        Elements of J satisfy (a) by definition; by induction along the
+        covers, any other x does iff its up-set is the intersection of its
+        lower covers' up-sets (the whole poset for none). So (a) costs one
+        pass up the lower-cover lists, the intents one pass down them, and
+        (b) n * |M| lookups.
         """
-        n, pos, up = len(self._at), self._pos, self._up_t
+        n, up, lower = len(self._at), self._up_t, self._lower
         if n and (self.bottom() is None or self.top() is None):
             return None
-        lower: list[list[int]] = [[] for _ in range(n)]
-        upper: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.covers:
-            lower[pos[b]].append(pos[a])
-            upper[pos[a]].append(pos[b])
-        order = [pos[x] for x in self.elements]
+        uppers = Counter(chain.from_iterable(lower))  # upper covers per position
+        order = [self._pos[x] for x in self.elements]
         jirr = tuple(p for p in order if len(lower[p]) == 1)
-        mirr = tuple(p for p in order if len(upper[p]) == 1)
+        mirr = tuple(p for p in order if uppers[p] == 1)
         ext, intent = [0] * n, [0] * n
         for k, j in enumerate(jirr):
             ext[j] = 1 << k
@@ -304,14 +309,9 @@ class Poset:
                 ups &= up[c]
             if len(lower[p]) != 1 and ups != up[p]:
                 return None
-        every_j = (1 << len(jirr)) - 1
-        for p in range(n - 1, -1, -1):  # tops first
-            exts = every_j
-            for d in upper[p]:
-                intent[p] |= intent[d]
-                exts &= ext[d]
-            if len(upper[p]) != 1 and exts != ext[p]:
-                return None
+        for p in range(n - 1, -1, -1):  # tops first, so p's intent is done
+            for c in lower[p]:
+                intent[c] |= intent[p]
         by_extent = dict(zip(ext, range(n)))
         m_exts = [ext[m] for m in mirr]
         if any(e & f not in by_extent for e in ext for f in m_exts):
@@ -430,7 +430,7 @@ class Poset:
 
     def to_dict(self) -> dict:
         return {"elements": list(self.elements),
-                "covers": sorted([list(c) for c in self.covers])}
+                "covers": [list(c) for c in self.covers]}
 
 
 def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:
@@ -478,6 +478,7 @@ def _assemble(ids: list[str], keys: list[int]) -> Poset:
     another lower cover r of q; r sits above p, so its row is folded in
     before p is reached, and p's bit is then already in q's row. The
     RedundantCover message names the first implied cover in key order.
+    The poset keeps the lower-cover lists, which certification reads.
     """
     n = len(ids)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -511,7 +512,7 @@ def _assemble(ids: list[str], keys: list[int]) -> Poset:
             mask |= up_t[q]
             lower[q].append(pos)
         up_t[pos] = mask
-    del succ  # not read again: freeing it, and lower below, lowers the peak
+    del succ  # not read again: freeing it lowers the peak
     down_t = [0] * n
     implied = []
     for q, below in enumerate(lower):  # bottoms first
@@ -521,13 +522,12 @@ def _assemble(ids: list[str], keys: list[int]) -> Poset:
                 implied.append(order[p] * n + order[q])
             mask |= down_t[p]
         down_t[q] = mask
-    del lower
     if implied:  # the first in key order, through the lowest element between
         a, b = divmod(min(implied), n)
         between = up_t[tp[a]] & down_t[tp[b]] & ~(1 << tp[a] | 1 << tp[b])
         middle = ids[order[(between & -between).bit_length() - 1]]
         raise RedundantCover(f"cover ({ids[a]!r}, {ids[b]!r}) is implied through {middle!r}")
-    return Poset(ids, [(ids[k // n], ids[k % n]) for k in keys], order, up_t, down_t)
+    return Poset(ids, [(ids[k // n], ids[k % n]) for k in keys], order, up_t, down_t, lower)
 
 
 def verify_consistency_relations(p: Poset):

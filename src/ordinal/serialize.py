@@ -48,18 +48,13 @@ def _numbers(mapping, path, what: str) -> dict:
     return mapping
 
 
-def _strings(value, size=None) -> bool:
-    """Is value a list of strings, of the given size if one is given?"""
-    return (isinstance(value, list) and all(isinstance(e, str) for e in value)
-            and size in (None, len(value)))
-
-
 def load_poset(path) -> Poset:
     """Read ``{"elements": [...], "covers": [[lower, upper], ...]}``.
 
-    Elements are non-empty strings; each cover is a list of two of them.
-    A document with no elements is refused: every audit of it would check
-    nothing and pass.
+    Elements are non-empty strings; each cover is a list of two of them,
+    checked in one pass and handed to ``build_poset`` as it is. A document
+    with no elements is refused: every audit of it would check nothing and
+    pass.
     """
     from .poset import build_poset
 
@@ -67,15 +62,17 @@ def load_poset(path) -> Poset:
     if not isinstance(doc, dict):
         raise OrdinalError(f"malformed poset document {path}: not a JSON object")
     elements, covers = doc.get("elements"), doc.get("covers")
-    if not _strings(elements) or not all(elements):
+    if not isinstance(elements, list) or not all(isinstance(e, str) and e for e in elements):
         raise OrdinalError(f"malformed poset document {path}: "
                            "'elements' must be a list of non-empty strings")
     if not elements:
         raise OrdinalError(f"empty poset document {path}: 'elements' lists no element")
-    if not isinstance(covers, list) or not all(_strings(c, 2) for c in covers):
+    if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2 and isinstance(c[0], str)
+            and isinstance(c[1], str) for c in covers):
         raise OrdinalError(f"malformed poset document {path}: "
                            "'covers' must be a list of [lower, upper] string pairs")
-    return build_poset(elements, [tuple(c) for c in covers])
+    return build_poset(elements, covers)
 
 
 def poset_to_dot(p: Poset) -> str:
@@ -85,7 +82,7 @@ def poset_to_dot(p: Poset) -> str:
 
     lines = ["digraph poset {", "  rankdir=BT;"]
     lines += [f"  {quote(e)};" for e in p.elements]
-    lines += [f"  {quote(a)} -> {quote(b)};" for a, b in sorted(p.covers)]
+    lines += [f"  {quote(a)} -> {quote(b)};" for a, b in p.covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -179,7 +176,8 @@ class Scene(Record):
 
 
 def load_scene(path) -> Scene:
-    """Read a scene document; all rationals are strings like ``"3/4"``."""
+    """Read a scene document; all rationals are strings like ``"3/4"``, and
+    each bound of a chain's index range is a JSON integer."""
     from .spacetime import Event, ObserverChain
 
     doc = _load_json(path)
@@ -194,11 +192,15 @@ def load_scene(path) -> Scene:
         for entry in doc.get("chains", []):
             origin = entry.get("origin", {"t": 0, "x": 0})
             lo, hi = entry.get("range", [0, 100])
+            for bound in (lo, hi):
+                if type(bound) is not int:  # a float or a bool would be truncated
+                    raise OrdinalError(f"malformed scene document {path}: "
+                                       f"range bound {bound!r} is not an integer")
             chains[str(entry["id"])] = ObserverChain(
                 origin=Event(parse_rational(origin["t"]), parse_rational(origin["x"])),
                 k=parse_rational(entry.get("k", 1)),
                 tick=parse_rational(entry.get("tick", 1)),
-                index_range=(int(lo), int(hi)),
+                index_range=(lo, hi),
                 label=str(entry["id"]))
         frames = {}
         for entry in doc.get("frames", []):

@@ -461,7 +461,8 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     """Audit x <= y  =>  v(x) <= v(y): one block per y, over the elements of
     y's shared down-set but y, its last entry.
 
-    If v(a) <= v(b) holds exactly for every cover a -> b, it holds for every
+    If v(a) <= v(b) holds exactly for every cover a -> b, read from the
+    position row and the poset's lower-cover lists, it holds for every
     comparable pair by transitivity, and the kernel's difference v(x) - v(y)
     is then at most 0 for any row _arithmetic names: in integers, or in
     floats, where rounding is monotone and 0 is representable. So every
@@ -469,7 +470,8 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     down-set sizes."""
     p, row = v.poset, _valuation_row(v)
     total = sum(mask.bit_count() - 1 for mask in p._down_t)
-    proved = bool(_arithmetic(row)) and all(v.values[a] <= v.values[b] for a, b in p.covers)
+    proved = bool(_arithmetic(row)) and all(
+        row[c] <= row[q] for q, below in enumerate(p._lower) for c in below)
 
     def counts(empty):
         return total, 0 if empty else total

@@ -160,7 +160,8 @@ def reference_build_poset(elements: Iterable[str], covers: Iterable[tuple[str, s
             raise RedundantCover(
                 f"cover ({a!r}, {b!r}) is implied through {middle!r}")
 
-    return Poset(ids, cover_pairs, order, up_t, down_t)
+    return Poset(ids, cover_pairs, order, up_t, down_t,
+                 [[tp[j] for j in pred[i]] for i in order])
 
 
 def _topological_order(n, succ, pred, ids) -> list[int]:

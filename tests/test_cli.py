@@ -456,6 +456,46 @@ def test_malformed_document_is_an_input_error(tmp_path, monkeypatch, capsys, cas
     assert err.count("\n") == 1 and err.startswith("ordinal: error")
 
 
+def with_p_range(bounds):
+    chains = [{**c, "range": bounds} if c["id"] == "P" else c for c in BOOST_SCENE["chains"]]
+    return {**BOOST_SCENE, "chains": chains}
+
+
+NAMED_ERRORS = {
+    # int() truncated these, so [0.9, 10.7] loaded as (0, 10) and [true, 10] as (1, 10)
+    "float range bound": (
+        "scene.json", with_p_range([0.9, 10.7]),
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "0,5"],
+        "malformed scene document scene.json: range bound 0.9 is not an integer"),
+    "boolean range bound": (
+        "scene.json", with_p_range([True, 10]),
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "0,5"],
+        "malformed scene document scene.json: range bound True is not an integer"),
+    "string range bound": (
+        "scene.json", with_p_range([0, "10"]),
+        ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+         "--frames", "rest"],
+        "malformed scene document scene.json: range bound '10' is not an integer"),
+    "probabilities summing to 0.9": (
+        "dist.json", {"probs": {"a": 0.5, "b": 0.4}},
+        ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"],
+        "malformed distribution document dist.json: probabilities sum to 0.9, not 1"),
+    "negative probability": (
+        "dist.json", {"probs": {"a": 1.5, "b": -0.5}},
+        ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"],
+        "malformed distribution document dist.json: negative probability -0.5 for atom 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_a_malformed_document_is_named_in_its_error(tmp_path, monkeypatch, capsys, case):
+    name, doc, argv, message = NAMED_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"ordinal: error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, broken", [
     (["poset", "check", "--input", "lat.json"], "lat.json"),
     (["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json"], "atoms.json"),

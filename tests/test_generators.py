@@ -7,6 +7,8 @@ positions and rows as the reference builder gives from those. Every id
 they write must read back through its parser, and atom names that would
 make an id ambiguous are refused. The builder must give what the
 reference builder gives, or raise the same exception with the same text.
+Every poset must list its covers in sorted order, and each position's
+lower covers as its covers give them.
 """
 import tracemalloc
 from itertools import product
@@ -27,8 +29,18 @@ def tables(p):
     return p.elements, p.covers, p._at, p._up_t, p._down_t
 
 
+def lower_covers(p):
+    """Each position's lower covers as a set, read from the string covers."""
+    lower = [set() for _ in p._at]
+    for a, b in p.covers:
+        lower[p._pos[b]].add(p._pos[a])
+    return lower
+
+
 def same_poset(p, q):
     return (p.elements == q.elements and p.covers == q.covers
+            and p.covers == tuple(sorted(p.covers))
+            and [set(below) for below in p._lower] == lower_covers(p)
             and tables(p) == tables(ref.reference_build_poset(p.elements, p.covers)))
 
 
@@ -126,9 +138,12 @@ UNKNOWN = ["zz", 99, ""]
 
 def outcome(build, elements, covers):
     try:
-        return tables(build(elements, covers))
+        p = build(elements, covers)
     except Exception as e:  # the class and text must match, whatever they are
         return type(e), str(e)
+    assert p.covers == tuple(sorted(p.covers))
+    assert [set(below) for below in p._lower] == lower_covers(p)
+    return tables(p)
 
 
 @st.composite

@@ -298,8 +298,9 @@ def assert_certificate_matches_brute_force(p):
                                   ("a", "1"), ("b", "1"), ("c", "1")]),  # M3
     lambda: build_poset("0abc1", [("0", "a"), ("a", "b"), ("b", "1"),
                                   ("0", "c"), ("c", "1")]),  # N5
-    # bounded and passes checks (a) and (c) of Poset._standard_context, yet
-    # 5 and 7 have two maximal lower bounds, 1 and 2: only (b) rejects it
+    # bounded, and each element is the join of the join-irreducibles below
+    # it, check (a) of Poset._standard_context; yet 5 and 7 have two
+    # maximal lower bounds, 1 and 2, so check (b) rejects it
     lambda: build_poset("012345678", [("0", "1"), ("0", "2"), ("1", "3"), ("1", "7"),
                                       ("2", "4"), ("2", "5"), ("3", "5"), ("4", "6"),
                                       ("5", "8"), ("6", "7"), ("7", "8")]),
@@ -328,6 +329,45 @@ def test_witness_without_a_bottom_or_top_matches_brute_force(name):
     # a non-empty poset without a bottom or a top is refused before the
     # standard context is built; the witness scan then runs as before
     assert_certificate_matches_brute_force(UNBOUNDED[name]())
+
+
+def naturally_labelled(k):
+    """Every order on 0..k-1 in which i below j implies i < j, as the list of
+    each element's strict down-set, a bitmask."""
+    orders = [[]]
+    for j in range(k):  # j's down-set: any down-closed set of 0..j-1
+        orders = [downs + [s] for downs in orders for s in range(1 << j)
+                  if all(downs[i] & ~s == 0 for i in range(j) if s >> i & 1)]
+    return orders
+
+
+def bounded_posets(most):
+    """Each naturally labelled order on at most `most` inner elements, with
+    a bottom "0" and a top added; inner element i is named str(i + 1)."""
+    for k in range(most + 1):
+        ids, top = [str(i) for i in range(k + 2)], str(k + 1)
+        for downs in naturally_labelled(k):
+            covers = [(ids[i + 1], ids[j + 1]) for j, d in enumerate(downs)
+                      for i in range(k) if d >> i & 1
+                      and not any(downs[m] >> i & 1 for m in range(k) if d >> m & 1)]
+            covers += [("0", ids[j + 1]) for j, d in enumerate(downs) if d == 0]
+            covers += [(ids[j + 1], top) for j in range(k)
+                       if not any(d >> j & 1 for d in downs)]
+            yield build_poset(ids, covers if k else [("0", top)])
+
+
+def test_certificate_matches_brute_force_on_every_small_bounded_poset():
+    # with a bottom and a top, every verdict comes from the standard context;
+    # up to 5 inner elements check (a) alone decides every one, so 6 are
+    # needed for a non-lattice that only check (b) rejects
+    posets = list(bounded_posets(6))
+    assert len(posets) == 1 + 1 + 2 + 7 + 40 + 357 + 4824  # naturally labelled orders
+    verdicts = set()
+    for p in posets:
+        assert p.bottom() == "0" and p.top() == p.elements[-1]
+        assert_certificate_matches_brute_force(p)
+        verdicts.add(p.is_lattice().is_lattice)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("p", [build_poset([], []), build_poset(["a"], [])],
