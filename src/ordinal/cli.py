@@ -250,11 +250,13 @@ def _cmd_st_interval(args) -> int:
     from .serialize import load_scene
     from .spacetime import interval_pair
 
+    if args.frames is not None and args.chains is not None:
+        raise OrdinalError("spacetime interval takes --frames or --chains, not both")
     scene = load_scene(args.scene)
     names = _two_ids(args.events, "event")
     e1, e2 = scene.event(names[0]), scene.event(names[1])
 
-    if args.chains and not args.frames:
+    if args.chains:
         pair = _two_ids(args.chains, "chain")
         frames = [("-".join(pair), scene.chain(pair[0]), scene.chain(pair[1]))]
     else:

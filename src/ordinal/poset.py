@@ -8,8 +8,9 @@ upper bound of a pair, when it exists, is the lowest set bit of the
 intersected up-sets. Building works in index space: with the n ids sorted,
 a cover is the integer key index[a] * n + index[b], and ``_assemble``
 orders, folds and checks the keys. ``build_poset`` maps its covers to keys
-once; the boolean, divisor and grid generators rank their ids with one sort
-and write the keys themselves, so no string pair is hashed or sorted.
+once; the boolean, partition, divisor and grid generators rank their ids
+with one sort and write the keys themselves, so no string pair is hashed or
+sorted.
 
 A finite lattice is also fixed by its join-irreducibles J and
 meet-irreducibles M: it is the concept lattice of (J, M, <=) (Ganter &
@@ -641,10 +642,11 @@ def partition_lattice(atoms: Iterable[str]) -> Poset:
     no surrounding whitespace, so every id reads back through
     ``Partition.parse``. Covers merge exactly two blocks.
 
-    A partition is a list of block bitmasks over the sorted atoms, in order
+    A partition is a tuple of block bitmasks over the sorted atoms, in order
     of each block's least atom, which is the literal's block order; merging
-    two blocks keeps the first one's place, so ids come from a table of
-    block strings without building a Partition.
+    two blocks keeps the first one's place, so each cover's upper end is
+    again such a tuple, found in a dict of the partitions, and ids come
+    from a table of block strings without building a Partition.
     """
     atom_list = sorted(set(atoms))
     for a in atom_list:
@@ -659,27 +661,19 @@ def partition_lattice(atoms: Iterable[str]) -> Poset:
         block = _joined(atom_list, "")
     else:
         block = ["[" + s + "]" for s in _joined(atom_list, ",")]
-    parts: list[list[int]] = [[]]
+    parts: list[tuple[int, ...]] = [()]
     for k in range(len(atom_list)):  # add atom k to each block, or alone
         bit, grown = 1 << k, []
         for part in parts:
-            for i in range(len(part)):
-                merged = part.copy()
-                merged[i] |= bit
-                grown.append(merged)
-            grown.append(part + [bit])
+            grown += [part[:i] + (b | bit,) + part[i + 1:] for i, b in enumerate(part)]
+            grown.append(part + (bit,))
         parts = grown
-    elements, covers = [], []
-    for part in parts:
-        names = [block[b] for b in part]
-        pid = "|".join(names)
-        elements.append(pid)
-        for j in range(1, len(part)):
-            rest = names[:j] + names[j + 1:]
-            for i in range(j):
-                covers.append((pid, "|".join(
-                    [*rest[:i], block[part[i] | part[j]], *rest[i + 1:]])))
-    return build_poset(elements, covers)
+    index = {part: p for p, part in enumerate(parts)}
+    ids, rank = _ranked(["|".join([block[b] for b in part]) for part in parts])
+    n = len(ids)
+    return _assemble(ids, sorted([
+        rank[p] * n + rank[index[part[:i] + (part[i] | part[j],) + part[i + 1:j] + part[j + 1:]]]
+        for p, part in enumerate(parts) for j in range(1, len(part)) for i in range(j)]))
 
 
 def divisor_lattice(n: int) -> Poset:

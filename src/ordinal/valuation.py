@@ -45,9 +45,12 @@ over v(t). So ``_proved`` names the rows on which no instance can violate,
 from v's values alone. The kernel walks only the blocks that read a row it
 does not name; each rule counts its instances in closed form from the set
 of empty rows, so a proved audit divides no row and builds no table. The
-sum rule of values that ``_modular`` passes and the monotone audit of
-values that do not fall along any cover are proved the same way, for their
-one row, in either arithmetic ``_arithmetic`` names.
+monotone audit of values that do not fall along any cover is proved the
+same way, for its one row, in either arithmetic ``_arithmetic`` names, and
+so is the sum rule of values that ``_modular`` passes on a distributive
+lattice. ``_distributive`` decides that from the covers, each of which
+then adds one join-irreducible, and ``_modular`` sums v one such step up
+from one lower cover of each element.
 
 On a distributive lattice an unproved derived row t still saves most of its
 n**2 / 2 sum-rule instances: (x v y) ^ t is (x ^ t) v (y ^ t) and the row
@@ -328,51 +331,53 @@ def _times(stream, s):
 
 
 def _distributive(p: Poset) -> bool:
-    """Whether the lattice is distributive: ext(x) | ext(j) is an extent for
-    every x and every j in J. An extent is the union of the extents of the
-    J in it, so then the extents are closed under union as well as
-    intersection, join is union and meet intersection, and the lattice is
-    a ring of sets (Davey & Priestley, Introduction to Lattices and Order,
-    ch. 4-5). A distributive lattice has the property, as its extents are
-    the down-sets of J (Birkhoff). Decided on first use and kept on p, like
-    its tables; certification does not decide it."""
+    """Whether the lattice is distributive: each cover y < x adds exactly one
+    join-irreducible to the extent and drops exactly one meet-irreducible
+    from the intent (Davey & Priestley, Introduction to Lattices and Order,
+    ch. 5). A distributive lattice has the property, as its extents are the
+    down-sets of J (Birkhoff), and a cover between two down-sets adds one
+    element; so, dually, for its intents and M. Conversely, a maximal chain
+    from the bottom to x then has |J(x)| steps and one from x to the top
+    |M(x)|; joined, they make a maximal chain from the bottom to the top,
+    which has |J| steps, so |J(x)| + |M(x)| = |J| for every x. As
+    ext(x ^ y) is ext(x) & ext(y) and ext(x v y) contains ext(x) | ext(y),
+    |J(x v y)| + |J(x ^ y)| >= |J(x)| + |J(y)|, and the same argument on
+    intents gives <=; so equality holds, ext(x v y) = ext(x) | ext(y), and
+    the lattice is a ring of sets. The extent half alone is not enough: the
+    convex subsets of three points on a line pass it. Decided on first use
+    and kept on p, like its tables; certification does not decide it."""
     if p._distributive is None:
         c = p._require_lattice()
-        j_exts = [c.extent[j] for j in c.join_irreducibles]
-        p._distributive = all(c.by_extent.keys() >= {e | f for f in j_exts} for e in c.extent)
+        ext, intent = c.extent, c.intent
+        p._distributive = all((ext[x] ^ ext[y]).bit_count() == 1
+                              and (intent[x] ^ intent[y]).bit_count() == 1
+                              for x, below in enumerate(p._lower) for y in below)
     return p._distributive
 
 
 def _modular(p: Poset, values) -> int:
     """The mask of the positions x where v(x) is not v(bottom) + the sum of
     v(j) - v(j-) over the join-irreducibles j <= x, exactly; j- is j's one
-    lower cover, whose extent is j's without j. ``values`` has an int, a
-    Fraction or a float at each position, and a float counts as the
-    rational it is. On a distributive lattice, J(x v y) = J(x) | J(y) and
-    J(x ^ y) = J(x) & J(y), so where no x <= t is in the mask,
-    v(x v y) + v(x ^ y) = v(x) + v(y) for every pair below t, with no
-    residual, and conversely (Rota 1971; Geissinger 1973). The steps of
-    each extent are summed once, as the sum of the extent less its lowest
-    bit plus that bit's step."""
+    lower cover. p must be a distributive lattice, which _distributive
+    decides. ``values`` has an int, a Fraction or a float at each position,
+    and a float counts as the rational it is. On a distributive lattice,
+    J(x v y) = J(x) | J(y) and J(x ^ y) = J(x) & J(y), so where no x <= t is
+    in the mask, v(x v y) + v(x ^ y) = v(x) + v(y) for every pair below t,
+    with no residual, and conversely (Rota 1971; Geissinger 1973). Each
+    cover adds one join-irreducible, so x's sum is that of any one lower
+    cover y plus the step of the j in ext(x) ^ ext(y), positions bottoms
+    first."""
     c = p._require_lattice()
     ratios = [e.as_integer_ratio() for e in values]
     s = math.lcm(*(d for _, d in ratios))
     ints = [a * (s // d) for a, d in ratios]
-    steps = [ints[j] - ints[c.by_extent[c.extent[j] ^ 1 << k]]
-             for k, j in enumerate(c.join_irreducibles)]
-    base = ints[c.by_extent[0]] if ints else 0
-    sums = {0: base}  # base + the steps of each mask summed so far
-    for mask in c.extent:
-        summed = mask
-        while summed not in sums:  # mask less its lowest bits, down to a summed one
-            summed &= summed - 1
-        total, rest = sums[summed], mask ^ summed
-        while rest:  # then back up to mask, one bit at a time, highest first
-            k = rest.bit_length() - 1
-            rest, summed = rest ^ 1 << k, summed | 1 << k
-            total = sums[summed] = total + steps[k]
-    return sum(1 << x for x, e, total in zip(count(), ints, map(sums.__getitem__, c.extent))
-               if e != total)
+    ext, lower = c.extent, p._lower
+    steps = {1 << k: ints[j] - ints[lower[j][0]] for k, j in enumerate(c.join_irreducibles)}
+    sums = ints[:1]  # the bottom, position 0; every other position has a lower cover
+    for x in range(1, len(ints)):
+        y = lower[x][0]
+        sums.append(sums[y] + steps[ext[x] ^ ext[y]])
+    return sum(1 << x for x, e, total in zip(count(), ints, sums) if e != total)
 
 
 def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:

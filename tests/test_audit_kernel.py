@@ -637,11 +637,12 @@ def modular_by_element(lat, values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(LATTICES)), st.sampled_from(["int", "fraction", "float"]),
-       st.booleans(), st.data())
+@given(st.sampled_from(sorted(DISTRIBUTIVE | {"B2xC3"})),
+       st.sampled_from(["int", "fraction", "float"]), st.booleans(), st.data())
 def test_modular_matches_its_formula_at_each_element(name, kind, from_irreducibles, data):
-    # values summed from the join-irreducibles pass on any lattice until one
-    # is shifted; values drawn an element at a time mostly fail
+    # _modular is defined on distributive lattices only. Values summed from
+    # the join-irreducibles pass until one is shifted; values drawn an
+    # element at a time mostly fail
     lat = LATTICES[name]
     if from_irreducibles:
         size = len(lat.join_irreducibles())
@@ -653,6 +654,24 @@ def test_modular_matches_its_formula_at_each_element(name, kind, from_irreducibl
     else:
         values = data.draw(st.lists(number(kind), min_size=len(lat), max_size=len(lat)))
     assert valuation._modular(lat, values) == modular_by_element(lat, values)
+
+
+@pytest.mark.parametrize("name", ["N5", "M3", "P3", "P4", "N5xC2", "C2xM3"])
+def test_a_lattice_that_does_not_distribute_never_runs_modular(monkeypatch, name):
+    # _modular is defined on distributive lattices only, so both sum rules
+    # decide distributivity first and evaluate their instances here
+    def refuse(p, values):
+        raise AssertionError(f"_modular ran on {name}")
+    monkeypatch.setattr(valuation, "_modular", refuse)
+    lat = LATTICES[name]
+    size = len(lat.join_irreducibles())
+    shifted = ranks(lat).replace(lat.elements[len(lat) // 2], len(lat))
+    for v in (ranks(lat), shifted, irreducible_sums(lat, [k / 10 for k in range(1, size + 1)]),
+              irreducible_sums(lat, [Fraction(1, k) for k in range(1, size + 1)])):
+        for tol in (0, valuation.DEFAULT_TOL):
+            assert_same_report(check_sum_rule(v, tol), ref.check_sum_rule(v, tol))
+            assert_same_report(check_bivaluation_sum_rule(derived(v), tol),
+                               ref.check_bivaluation_sum_rule(derived(v), tol))
 
 
 @pytest.mark.parametrize("change", ["shifted", "changed quotient"])

@@ -576,6 +576,10 @@ USAGE_ERRORS = {
     "interval with no frame id": (["spacetime", "interval", "--scene", "scene.json",
                                    "--events", "e1,e2", "--frames", ","],
                                   "interval needs a frame id in --frames, or --chains"),
+    "interval with both frames and chains": (
+        ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+         "--frames", "rest", "--chains", "P,Q"],
+        "spacetime interval takes --frames or --chains, not both"),
     "unknown rule": (["rules", "audit", "--poset", "lat.json", "--atoms", "atoms.json",
                       "--rules", "sum,nonsense"],
                      f"unknown rules ['nonsense']; choose from {RULE_NAMES}"),
