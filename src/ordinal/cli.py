@@ -265,19 +265,12 @@ def _cmd_st_interval(args) -> int:
         raise OrdinalError("interval needs a frame id in --frames, or --chains")
 
     rows = []
-    code = 0
     for name, p, q in frames:
         try:
-            ip = interval_pair(e1, e2, p, q)
+            rows.append({"frame": name, **interval_pair(e1, e2, p, q).to_dict()})
         except NotSynchronized as exc:
             rows.append({"frame": name, "error": str(exc)})
-            code = 1
-            continue
-        rows.append({"frame": name, **ip.to_dict()})
-    scalars = {row["ds2"] for row in rows if "ds2" in row}
-    invariant = len(scalars) == 1 and code == 0
-    if not invariant:
-        code = max(code, 1)
+    invariant = all("ds2" in row for row in rows) and len({row["ds2"] for row in rows}) == 1
 
     def lines():
         header = ("frame", "dp", "dq", "dt", "dx", "ds2")
@@ -294,7 +287,7 @@ def _cmd_st_interval(args) -> int:
         return table + [f"invariant: {'yes' if invariant else 'no'}"]
     _emit_payload(args, lambda: {"events": names, "rows": rows, "invariant": invariant},
                   lines)
-    return code
+    return 0 if invariant else 1
 
 
 GROUPS = {
@@ -356,6 +349,9 @@ def run(argv) -> int:
     # such as an int too large for a float
     except (OrdinalError, OSError, ValueError, ArithmeticError) as exc:
         print(f"ordinal: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # exit 1 would read as "violations found"
+        print("ordinal: error: out of memory", file=sys.stderr)
         return 2
 
 

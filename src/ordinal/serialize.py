@@ -175,6 +175,15 @@ class Scene(Record):
         return self.chain(a), self.chain(b)
 
 
+def _new_id(path, kind: str, entry, taken: dict) -> str:
+    """entry's id as a string, refused if taken already has it: a repeated
+    id would silently replace the entry before it."""
+    name = str(entry["id"])
+    if name in taken:
+        raise OrdinalError(f"malformed scene document {path}: {kind} id {name!r} appears twice")
+    return name
+
+
 def load_scene(path) -> Scene:
     """Read a scene document; all rationals are strings like ``"3/4"``, and
     each bound of a chain's index range is a JSON integer."""
@@ -186,8 +195,8 @@ def load_scene(path) -> Scene:
     try:
         events = {}
         for entry in doc.get("events", []):
-            events[str(entry["id"])] = Event(parse_rational(entry["t"]),
-                                             parse_rational(entry["x"]))
+            events[_new_id(path, "event", entry, events)] = Event(
+                parse_rational(entry["t"]), parse_rational(entry["x"]))
         chains = {}
         for entry in doc.get("chains", []):
             origin = entry.get("origin", {"t": 0, "x": 0})
@@ -196,7 +205,7 @@ def load_scene(path) -> Scene:
                 if type(bound) is not int:  # a float or a bool would be truncated
                     raise OrdinalError(f"malformed scene document {path}: "
                                        f"range bound {bound!r} is not an integer")
-            chains[str(entry["id"])] = ObserverChain(
+            chains[_new_id(path, "chain", entry, chains)] = ObserverChain(
                 origin=Event(parse_rational(origin["t"]), parse_rational(origin["x"])),
                 k=parse_rational(entry.get("k", 1)),
                 tick=parse_rational(entry.get("tick", 1)),
@@ -205,7 +214,7 @@ def load_scene(path) -> Scene:
         frames = {}
         for entry in doc.get("frames", []):
             a, b = entry["chains"]
-            frames[str(entry["id"])] = (str(a), str(b))
+            frames[_new_id(path, "frame", entry, frames)] = (str(a), str(b))
     except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
         raise OrdinalError(f"malformed scene document {path}: {exc}") from exc
     missing = [f for f, (a, b) in frames.items()

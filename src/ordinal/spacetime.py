@@ -156,12 +156,9 @@ def check_synchronized(p: ObserverChain, q: ObserverChain,
         raise ValueError(f"index window [{lo}, {hi}] holds one index, so it "
                          "compares no step")
     for a, b in ((p, q), (q, p)):
-        previous = None
-        for i in range(lo, hi + 1):
-            j = project(a.event(i), b)
-            if previous is not None and j != previous + 1:
-                return False
-            previous = j
+        start = project(a.event(lo), b)
+        if any(project(a.event(i), b) != start + (i - lo) for i in range(lo + 1, hi + 1)):
+            return False
     return True
 
 
@@ -213,21 +210,16 @@ def _sync_window(indices: Iterable[int], p: ObserverChain,
     NotSynchronized.
     """
     lo, hi = min(indices), max(indices)
-    if hi == lo:
-        hi = lo + 1  # need one consecutive step to say anything
-    for c in (p, q):
-        lo = max(lo, c.index_range[0])
-        hi = min(hi, c.index_range[1])
+    first = max(p.index_range[0], q.index_range[0])
+    # a window of one index is widened by one step above it
+    lo, hi = max(lo, first), min(max(hi, lo + 1), p.index_range[1], q.index_range[1])
     if hi < lo:
         raise NotSynchronized(
             "chains share no index window around the events, so "
             "synchronization cannot be verified")
-    last = min(_last_inside(p, q), _last_inside(q, p))
-    if hi > last:
-        lo, hi = min(lo, last - 1), last
-    elif hi == lo:
-        lo -= 1
-    if lo < max(p.index_range[0], q.index_range[0]):
+    hi = min(hi, _last_inside(p, q), _last_inside(q, p))
+    lo = min(lo, hi - 1)
+    if lo < first:
         raise NotSynchronized(
             "chains project into each other's ranges on fewer than two "
             "indices, so synchronization cannot be verified")

@@ -739,22 +739,32 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
 
     def counts(empty):
         """n**3 instances, and n in each block (x, y) with neither x nor
-        x ^ y in empty. When empty is the down-set of its last position e,
-        x ^ y <= e iff ext(x) & ext(y) <= ext(e), as the extent of a meet is
-        the intersection of the extents. So the y with x ^ y not in empty
-        are those whose extent meets ext(x) - ext(e): the union of the
-        up-sets of those join-irreducibles, on any lattice. On a
-        distributive lattice the other y are the down-set of x -> e, the
-        relative pseudocomplement (Davey & Priestley, Introduction to
-        Lattices and Order). Any other empty set is counted on the meet
-        rows."""
+        x ^ y in empty. When empty is a down-set, the union of the
+        down-sets of its maximal elements e, x ^ y is in it iff
+        x ^ y <= e for one of them, and x ^ y <= e iff
+        ext(x) & ext(y) <= ext(e), as the extent of a meet is the
+        intersection of the extents. So the y with x ^ y not below e are
+        those whose extent meets ext(x) - ext(e): the union of the up-sets
+        of those join-irreducibles, on any lattice; the y with x ^ y not in
+        empty are in that union for every e. On a distributive lattice the
+        other y are the down-set of x -> e, the relative pseudocomplement
+        (Davey & Priestley, Introduction to Lattices and Order). Any other
+        empty set is counted on the meet rows."""
         if not empty:
             return n ** 3, n ** 3
-        e = max(empty)
-        if p._down_t[e] == sum(1 << t for t in empty):
-            j_ups = [p._up_t[j] for j in c.join_irreducibles]
-            kept = sum(reduce(or_, map(j_ups.__getitem__, _bits(c.extent[x] & ~c.extent[e])),
-                              0).bit_count() for x in range(n) if x not in empty)
+        gone = sum(1 << t for t in empty)
+        tops = [t for t in empty if p._up_t[t] & gone == 1 << t]
+        if reduce(or_, map(p._down_t.__getitem__, tops)) == gone:
+            # the join-irreducibles not below e, for each maximal e
+            first, *rest = [~c.extent[t] for t in tops]
+            up = [p._up_t[j] for j in c.join_irreducibles].__getitem__
+            kept = 0
+            for x, ext in enumerate(c.extent):
+                if x not in empty:
+                    reach = reduce(or_, map(up, _bits(ext & first)), 0)
+                    for outside in rest:
+                        reach &= reduce(or_, map(up, _bits(ext & outside)), 0)
+                    kept += reach.bit_count()
         else:
             flags = bytes(t in empty for t in range(n))
             kept = sum(n - sum(map(flags.__getitem__, meet_x))

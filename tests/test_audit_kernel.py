@@ -379,21 +379,32 @@ def empty_rows_case(lat, case):
     """A Fraction valuation on lat, so that every derived row is proved at
     tolerance 0, whose empty rows, the t with v(t) <= 0, are: none; the
     down-set of the bottom or of a middle element, v(x) counting the
-    join-irreducibles below x but not below e; or not an ideal, the top
-    at 0 and a middle element negative above a bottom with measure."""
+    join-irreducibles below x but not below e; the down-set of the last
+    two incomparable positions, with two maximal elements; or not an
+    ideal, the top at 0 and a middle element negative above a bottom with
+    measure."""
     extent, n = lat._require_lattice().extent, len(lat)
     e = {"ideal of the bottom": 0, "ideal of a middle element": n // 2}.get(case)
     if e is None:
         values = [Fraction(1 + ext.bit_count(), 3) for ext in extent]
         if case == "not an ideal":
             values[n - 1], values[n // 2] = Fraction(0), values[n // 2] - 2
+        if case == "ideal of two elements":
+            down = lat._down_t
+            pair = next(((x, y) for y in reversed(range(n)) for x in reversed(range(y))
+                         if not down[y] >> x & 1), None)
+            if pair is None:
+                pytest.skip("a chain has no two incomparable elements")
+            gone = down[pair[0]] | down[pair[1]]
+            values = [Fraction(0) if gone >> t & 1 else value
+                      for t, value in enumerate(values)]
     else:
         values = [Fraction((ext & ~extent[e]).bit_count(), 3) for ext in extent]
     return Valuation(lat, dict(zip(lat._at, values)))
 
 
-EMPTY_ROWS = ["none", "ideal of the bottom", "ideal of a middle element", "not an ideal",
-              "with_value"]
+EMPTY_ROWS = ["none", "ideal of the bottom", "ideal of a middle element",
+              "ideal of two elements", "not an ideal", "with_value"]
 
 
 @pytest.mark.parametrize("case", EMPTY_ROWS)
@@ -411,7 +422,7 @@ def test_closed_form_counts_match_reference_loops(monkeypatch, name, case):
     for check in (check_chain_rule, check_diamond_lemma, check_context_product_rule):
         check(w, 0)
     # on proved rows the counts need no table, but for an empty set that is
-    # not a down-set with a top, whose context count reads the meet rows
+    # not a down-set, whose context count reads the meet rows
     if case != "with_value":
         assert built == (["meet"] if case == "not an ideal" else [])
     assert_audits_agree(v, w, 0)

@@ -204,6 +204,17 @@ def test_only_the_requested_format_is_built(tmp_path, monkeypatch, capsys, fmt, 
         assert invoke(capsys, *argv, "--format", fmt) == before
 
 
+def test_a_report_that_exhausts_memory_is_an_error(tmp_path, monkeypatch, capsys):
+    # exit 1 would read as "violations found", and a traceback is not one line
+    poset_path, atoms_path = write_audit_inputs(tmp_path, {"a": 1, "b": 2})
+
+    def exhaust(doc):
+        raise MemoryError
+    monkeypatch.setattr("ordinal.serialize.dumps_canonical", exhaust)
+    assert invoke(capsys, "rules", "audit", "--poset", poset_path, "--atoms",
+                  atoms_path) == (2, "", "ordinal: error: out of memory\n")
+
+
 def test_rules_audit_unknown_rule(tmp_path, capsys):
     poset_path, atoms_path = write_audit_inputs(tmp_path, {"a": 1.0})
     code, _, err = invoke(capsys, "rules", "audit", "--poset", poset_path,
@@ -476,6 +487,24 @@ NAMED_ERRORS = {
         ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
          "--frames", "rest"],
         "malformed scene document scene.json: range bound '10' is not an integer"),
+    # a repeated id would replace the entry before it; ids compare as strings
+    "repeated scene event id": (
+        "scene.json", {**BOOST_SCENE, "events": BOOST_SCENE["events"] + [
+            {"id": "e1", "t": "1", "x": "0"}]},
+        ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+         "--frames", "rest"],
+        "malformed scene document scene.json: event id 'e1' appears twice"),
+    "repeated scene chain id": (
+        "scene.json", {**BOOST_SCENE, "chains": BOOST_SCENE["chains"] + [
+            {"id": 7, "range": [0, 9]}, {"id": "7", "range": [0, 10]}]},
+        ["spacetime", "sync", "--scene", "scene.json", "--chains", "P,Q", "--range", "0,5"],
+        "malformed scene document scene.json: chain id '7' appears twice"),
+    "repeated scene frame id": (
+        "scene.json", {**BOOST_SCENE, "frames": BOOST_SCENE["frames"] + [
+            {"id": "rest", "chains": ["P", "Qslow"]}]},
+        ["spacetime", "interval", "--scene", "scene.json", "--events", "e1,e2",
+         "--frames", "rest"],
+        "malformed scene document scene.json: frame id 'rest' appears twice"),
     "probabilities summing to 0.9": (
         "dist.json", {"probs": {"a": 0.5, "b": 0.4}},
         ["info", "entropy", "--dist", "dist.json", "--partition", "a|b"],

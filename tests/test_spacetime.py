@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordinal import (BoundExceeded, Event, IntervalPair, NonPositiveBoost,
-                     NotQuantifiable, NotSynchronized, ObserverChain,
+                     NotQuantifiable, NotSynchronized, ObserverChain, OrdinalError,
                      boost_frame, causal_grid, causal_grid_poset, causal_leq,
                      check_synchronized, coordinatize, interval_pair, project)
+from ordinal.spacetime import _last_inside, _sync_window
 
 
 def rest_chain(x, tick=1, rng=(0, 200), label=""):
@@ -242,6 +243,100 @@ def test_rest_intervals_inside_both_ranges(t1, x1, t2, x2):
     ip = interval_pair(e1, e2, p, q)
     dt, dx = e2.t - e1.t, e2.x - e1.x
     assert (ip.dp, ip.dq) == (dt + dx, dt - dx)
+
+
+# --- synchronization against the loops it replaced ---
+
+def reference_check_synchronized(p, q, index_range):
+    """check_synchronized as a loop that compares each projection with the
+    one before it."""
+    lo, hi = index_range
+    if hi < lo:
+        raise ValueError(f"empty index window [{lo}, {hi}]")
+    if hi == lo:
+        raise ValueError(f"index window [{lo}, {hi}] holds one index, so it "
+                         "compares no step")
+    for a, b in ((p, q), (q, p)):
+        previous = None
+        for i in range(lo, hi + 1):
+            j = project(a.event(i), b)
+            if previous is not None and j != previous + 1:
+                return False
+            previous = j
+    return True
+
+
+def reference_sync_window(indices, p, q):
+    """_sync_window as a widening, a clamp per chain and a slide to the
+    last two indices that project inside."""
+    lo, hi = min(indices), max(indices)
+    if hi == lo:
+        hi = lo + 1  # need one consecutive step to say anything
+    for c in (p, q):
+        lo = max(lo, c.index_range[0])
+        hi = min(hi, c.index_range[1])
+    if hi < lo:
+        raise NotSynchronized(
+            "chains share no index window around the events, so "
+            "synchronization cannot be verified")
+    last = min(_last_inside(p, q), _last_inside(q, p))
+    if hi > last:
+        lo, hi = min(lo, last - 1), last
+    elif hi == lo:
+        lo -= 1
+    if lo < max(p.index_range[0], q.index_range[0]):
+        raise NotSynchronized(
+            "chains project into each other's ranges on fewer than two "
+            "indices, so synchronization cannot be verified")
+    return lo, hi
+
+
+def outcome(f, *args):
+    """f's result, or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except (OrdinalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def chain_pairs(draw):
+    """Two chains with k in {1, 2, 1/2, 3/2}, tick in {1, 1/2, 2}, small
+    rational origins and ranges of one to 21 indices; the second shares the
+    first's k and tick half of the time, so that some pairs synchronize."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    k = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)])
+    tick = st.sampled_from([F(1), F(1, 2), F(2)])
+    p_k, p_tick = draw(k), draw(tick)
+    same = draw(st.booleans())
+    chains = []
+    for c_k, c_tick in ((p_k, p_tick), (p_k, p_tick) if same else (draw(k), draw(tick))):
+        lo = draw(st.integers(-3, 4))
+        chains.append(ObserverChain(origin=Event(draw(small), draw(small)), k=c_k, tick=c_tick,
+                                    index_range=(lo, lo + draw(st.integers(0, 20)))))
+    return chains
+
+
+window_indices = st.integers(-4, 24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(chain_pairs(), st.lists(window_indices, min_size=1, max_size=4))
+def test_sync_window_matches_reference(chains, indices):
+    p, q = chains
+    assert outcome(_sync_window, indices, p, q) == outcome(reference_sync_window, indices, p, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(chain_pairs(), st.data())
+def test_check_synchronized_matches_reference(chains, data):
+    # windows from the chains' first shared index, empty and one-index
+    # windows included, and windows past either range
+    p, q = chains
+    lo = data.draw(st.integers(max(p.index_range[0], q.index_range[0]) - 2, 24))
+    window = (lo, lo + data.draw(st.integers(-2, 8)))
+    assert (outcome(check_synchronized, p, q, window)
+            == outcome(reference_check_synchronized, p, q, window))
 
 
 def test_decompose_pure_time_and_pure_space():
