@@ -299,6 +299,15 @@ GROUPS = {
 
 NEEDED = dict(required=True)
 OUTPUT = ("--output", dict(help="write here instead of stdout"))
+
+
+def _dashed(flag: str, text: str, value: str = "-a,b", **options) -> tuple:
+    """A flag whose help says that a value starting with - needs the =
+    form: argparse reads a separate one as a flag."""
+    return flag, dict(options, help=f"{text}; write a value that starts with - as "
+                                    f"{flag}={value}")
+
+
 # the flags of every command that writes a report
 REPORT = (("--format", dict(choices=("json", "text"), default="json")), OUTPUT)
 
@@ -328,13 +337,12 @@ COMMANDS = {
                                 ("--chain", NEEDED), *REPORT]),
     ("spacetime", "sync"): (_cmd_st_sync, "check two chains over an index window", [
         ("--scene", NEEDED),
-        ("--chains", dict(required=True, help="two chain ids, comma-separated")),
-        ("--range", dict(required=True, help="lo,hi inclusive index window")), *REPORT]),
+        _dashed("--chains", "two chain ids, comma-separated", **NEEDED),
+        _dashed("--range", "lo,hi inclusive index window", "-5,3", **NEEDED), *REPORT]),
     ("spacetime", "interval"): (_cmd_st_interval, "interval of two events in each frame",
-                                [("--scene", NEEDED),
-                                 ("--events", dict(required=True, help="two event ids")),
-                                 ("--frames", dict(help="frame ids from the scene")),
-                                 ("--chains", dict(help="two chain ids")), *REPORT]),
+                                [("--scene", NEEDED), _dashed("--events", "two event ids", **NEEDED),
+                                 _dashed("--frames", "frame ids from the scene"),
+                                 _dashed("--chains", "two chain ids"), *REPORT]),
 }
 
 

@@ -334,8 +334,8 @@ class Poset:
           (C2) the x with bit k in E(x) are exactly J[k]'s up row;
           (C3) x's up row is the AND of J[k]'s up rows over k in E(x);
           (C4) I(x) = {i : E(x) <= E(M[i])};
-          (C6) E(x) & E(M[i]) is an extent and I(x) & I(J[k]) an intent, for
-               every x, i and k.
+          (C6) E(x) & E(M[i]) is an extent for every x and i, and so is
+               every J, the mask of all of J.
         leq: y is in x's up row iff, by C3, in J[k]'s for each k in E(x) iff,
         by C2, E(x) <= E(y). meet: by C1, meet(x, y) == x iff E(x) & E(y) ==
         E(x), the same test. join: if E(x) <= E(y), then I(y) <= I(x) by C4,
@@ -347,10 +347,12 @@ class Poset:
         I(w) = I(x) by C4 and w = x by C1. By C1 at most one x has an empty
         intent, so when x != y one of them, say y, has a non-empty one, and
         E(x) & E(y) is E(x) cut by one E(M[i]) at a time, each step an extent
-        by C6. Dually I(y) is the AND of I(J[k]) over k in E(y), all of M for
-        none: by C4 both hold i iff E(y) <= E(M[i]), since k is in E(J[k])
-        (C2 and C3 put each x in its own up row) and E(J[k]) <= E(y) for k in
-        E(y) (C2 and leq). So I(x) & I(y) stays an intent by C6 as well.
+        by C6. And I(x) & I(y) is an intent. When it is not empty, the AND of
+        E(M[i]) over its i is an extent by C6, E(z) say, and I(z) = I(x) &
+        I(y) by C4: each such E(M[i]) holds E(z), and any E(M[i]) that holds
+        E(z) holds E(x) and E(y), which E(z) holds. When it is empty, no
+        E(M[i]) is every J, or i would be in both intents, so by C4 the
+        element whose extent is every J has the empty intent.
         That costs n * (|J| + |M|) narrow mask operations, one row AND per
         extent bit and at most |J| row ORs per element of M.
         """
@@ -392,9 +394,8 @@ class Poset:
                 outside |= j_columns[k]
             if column != full & ~outside:
                 return False
-        j_ints = [ints[q] for q in jpos]
-        return (all(by_extent.keys() >= {e & f for f in m_exts} for e in ext)  # C6
-                and all(by_intent.keys() >= {i & g for g in j_ints} for i in ints))
+        return (every_j in by_extent  # C6
+                and all(by_extent.keys() >= {e & f for f in m_exts} for e in ext))
 
     def _first_witness(self) -> tuple[str, str] | None:
         """The first pair in lexicographic order without a unique join or

@@ -2,7 +2,12 @@
 
 All rule audits in this package return a RuleReport. Violations are kept in
 canonical (lexicographic) instance order so reports are deterministic and
-byte-stable when serialized.
+byte-stable when serialized. They are a list of RuleViolation, except in a
+report of the audit kernel (``ordinal.valuation``), which keeps them packed
+in a read-only sequence: an int per instance and one set of sides per run
+of instances that share them. That sequence builds each RuleViolation when
+it is read, and gives to_dict and text_lines its own ``dicts()`` and
+``lines()``, which format each set of sides once.
 """
 from __future__ import annotations
 
@@ -48,7 +53,8 @@ class RuleViolation(Record):
 
 class RuleReport(Record):
     """Outcome of one rule audit over a lattice or chain configuration.
-    Unlike the other records it can be changed, so it has no hash."""
+    Unlike the other records it can be changed, so it has no hash; the
+    packed violations of a kernel report cannot."""
 
     __slots__ = ("rule", "checked", "tolerance", "violations", "skipped")
     __setattr__ = object.__setattr__
@@ -68,19 +74,21 @@ class RuleReport(Record):
         return not self.violations
 
     def to_dict(self) -> dict:
+        dicts = getattr(self.violations, "dicts", None)  # a packed sequence renders itself
         return {
             "rule": self.rule,
             "checked": self.checked,
             "skipped": self.skipped,
             "tolerance": number_to_jsonable(self.tolerance),
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": dicts() if dicts else [v.to_dict() for v in self.violations],
         }
 
     def text_lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
         head = (f"rule {self.rule}: checked={self.checked} "
                 f"skipped={self.skipped} violations={len(self.violations)} {status}")
-        return [head] + ["  " + v.text_line() for v in self.violations]
+        lines = getattr(self.violations, "lines", None)
+        return [head] + (lines() if lines else ["  " + v.text_line() for v in self.violations])
 
 
 def build_report(rule, checked, tolerance, violations, skipped=0) -> RuleReport:

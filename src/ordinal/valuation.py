@@ -59,22 +59,33 @@ objects of the pair class (x ^ t, y ^ t) below t. The row's one block
 tests those classes instead, in the row's arithmetic, so bit for bit: over
 the 2**k rows of B_k, (5**k - 3**k) / 2 classes for 2**k C(2**k, 2)
 instances. A failing class fails each instance in it, with its sides.
+
+A failing audit holds its violations packed, not as a RuleViolation each.
+The kernel keeps one int key per violating instance: its k ids' ranks in
+the sorted ``p.elements``, base n, most significant first, followed by
+the index of its sides, a digit below n**k. Sorting the keys sorts the
+instances as build_report does. It keeps a side (lhs, rhs, residual) only
+when ``found`` yields other side objects than the instance before, so the
+instances of a failing pair class share one side and its residual is
+computed once. The report's ``violations`` (_Violations) is a read-only
+sequence that builds each RuleViolation when it is read; to_dict and
+text_lines render from the keys and format each side once.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, compress, count, product, repeat
-from operator import add, is_, lt, mul, not_, or_, sub
+from operator import add, floordiv, is_, lt, mod, mul, not_, or_, sub
 from typing import Union
 
 from ._record import Record, set_field
 from .errors import (LatticeMismatch, NegativeAtomValue, UnknownElement,
                      ZeroMeasureContext)
 from .poset import Poset, _bits, _joined, pair_id, parse_subset_id
-from .report import RuleReport, RuleViolation, build_report
+from .report import RuleReport, RuleViolation, build_report, number_to_jsonable
 
 Value = Union[int, float, Fraction]
 
@@ -265,6 +276,8 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     the number of instances in blocks that read no empty row less the
     undefined instances of the evaluated blocks, and skipped is the rest of
     the total.
+    Violations are kept packed (module docstring): identical side objects
+    give an identical residual, so sharing one side between them is exact.
     """
     require_tolerance(tol)
     num, den = Fraction(tol).as_integer_ratio()
@@ -273,7 +286,7 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     unproved = set(compress(count(), map(not_, proved))).difference(empty)
     n = len(raw)
     built, rows, scale, ones, inexact = [None] * n, [None] * n, [1] * n, [1] * n, set()
-    violations = []
+    keys, sides, digits, weights, a0, b0 = [], [], None, (), None, None
     for key, reads, labels in blocks(unproved):
         if not empty.isdisjoint(reads):
             continue  # skipped whole, as counts says
@@ -299,9 +312,85 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
             if a is _UNDEFINED or b is _UNDEFINED:
                 checked -= 1
                 continue
-            ids = tuple(map(p._at.__getitem__, positions))
-            violations.append(RuleViolation(ids, a, b, a - b if signed else abs(a - b)))
-    return build_report(rule, checked, tol, violations, total - checked)
+            if a is not a0 or b is not b0:
+                a0, b0 = a, b
+                sides.append((a, b, a - b if signed else abs(a - b)))
+            if digits is None:
+                weights, digits = _digits(p, len(positions))
+            keys.append(sum(map(list.__getitem__, digits, positions), len(sides) - 1))
+    keys.sort()
+    return RuleReport(rule, checked, tol, _Violations(p.elements, keys, sides, weights),
+                      total - checked)
+
+
+def _digits(p: Poset, k: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The weights of a key's k digits, n**(2k - 1 - j) for digit j, and
+    each position's rank in p.elements, which are sorted, times each
+    weight. A key is the sum of its instance's digits and its side's
+    index, which is below n**k, as no more sides are kept than instances."""
+    n = len(p)
+    weights = tuple(n ** (2 * k - 1 - j) for j in range(k))
+    rank = [0] * n
+    for r, element in enumerate(p.elements):
+        rank[p._pos[element]] = r
+    return weights, [[r * w for r in rank] for w in weights]
+
+
+class _Violations(Sequence):
+    """A kernel report's violations, read-only and in the order that
+    build_report sorts them: ``keys``, sorted, and ``sides``, a list of
+    (lhs, rhs, residual) that the keys index (_kernel, _digits). Sorting the
+    keys sorts the instances, as they all have k ids. Each RuleViolation is
+    built when it is read; ``dicts`` and ``lines``, which RuleReport
+    renders, format each side once."""
+
+    __slots__ = ("_ids", "_keys", "_sides", "_weights")
+    __hash__ = None
+
+    def __init__(self, ids: tuple, keys: list[int], sides: list, weights: tuple):
+        self._ids, self._keys, self._sides, self._weights = ids, keys, sides, weights
+
+    def _split(self, keys, sides):
+        """(instance, sides[i]) for each key: its ids, and the entry of its
+        side's index i in ``sides``, a list with one entry per side."""
+        ids, n, weights = self._ids, len(self._ids), self._weights
+        digits = [map(ids.__getitem__, map(mod, map(floordiv, keys, repeat(w)), repeat(n)))
+                  for w in weights]
+        return zip(zip(*digits), map(sides.__getitem__, map(mod, keys, repeat(n ** len(weights)))))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        (instance, side), = self._split([self._keys[i]], self._sides)
+        return RuleViolation(instance, *side)
+
+    def __iter__(self):
+        return (RuleViolation(instance, *side)
+                for instance, side in self._split(self._keys, self._sides))
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return _Violations, (self._ids, self._keys, self._sides, self._weights)
+
+    def dicts(self) -> list[dict]:
+        """[v.to_dict() for v in self], each side made JSON-ready once."""
+        sides = [tuple(map(number_to_jsonable, side)) for side in self._sides]
+        return [{"instance": list(instance), "lhs": lhs, "rhs": rhs, "residual": residual}
+                for instance, (lhs, rhs, residual) in self._split(self._keys, sides)]
+
+    def lines(self) -> list[str]:
+        """["  " + v.text_line() for v in self], each side formatted once."""
+        sides = [f"lhs={lhs} rhs={rhs} residual={residual}" for lhs, rhs, residual in self._sides]
+        return [f"  violation ({', '.join(instance)}): {side}"
+                for instance, side in self._split(self._keys, sides)]
 
 
 def _above(p: Poset, rows) -> Iterable[int]:

@@ -7,13 +7,16 @@ Fractions and mixtures, with zero-weight atoms, holes and perturbations.
 The golden files hold ``ordinal rules audit`` output made by those loops;
 ``b4-mixed`` was made by the kernel that chose its arithmetic per table.
 """
+import copy
 import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +104,65 @@ def audited_inputs(draw):
 @given(audited_inputs())
 def test_kernel_matches_reference_loops(case):
     assert_audits_agree(*case)
+
+
+def typed(violations):
+    """Each violation with the types of its sides, so 1 and 1.0 differ."""
+    return [(v, type(v.lhs), type(v.rhs), type(v.residual)) for v in violations]
+
+
+@settings(max_examples=40, deadline=None)
+@given(audited_inputs())
+def test_kernel_violations_equal_the_reference_element_by_element(case):
+    v, w, tol = case
+    pairs = [(check(v, tol), reference(v, tol)) for check, reference in VALUATION_RULES]
+    pairs += [(check(w, tol), reference(w, tol)) for check, reference in BIVALUATION_RULES]
+    for kernel, reference in pairs:
+        assert list(kernel.violations) == reference.violations
+        assert typed(kernel.violations) == typed(reference.violations)
+        assert typed(map(kernel.violations.__getitem__, range(len(reference.violations)))) \
+            == typed(reference.violations)
+
+
+def test_instances_share_sides_only_when_they_read_the_same_objects():
+    # a and b fall to c with sides that are equal but of other types: the
+    # int 3 and the float 3.0, so the second violation needs sides of its own
+    p = build_poset("abc", [("a", "c"), ("b", "c")])
+    v = Valuation(p, {"a": 3, "b": 3.0, "c": 2})
+    report = check_monotone(v)
+    assert typed(report.violations) == typed(ref.check_monotone(v).violations)
+    assert [type(x.lhs) for x in report.violations] == [int, float]
+
+
+def test_a_kernel_report_holds_a_read_only_sequence_of_violations():
+    # v({a,b}) raised by 1 breaks bisum in the contexts at or above {a,b}
+    lat = boolean_lattice("abc")
+    v = derive_valuation_from_atoms(lat, {"a": 1, "b": 2, "c": 3})
+    w = bivaluation_from_valuation(v.replace("{a,b}", 4), validate=False)
+    report = check_bivaluation_sum_rule(w)
+    expected = ref.check_bivaluation_sum_rule(w).violations
+    view, n = report.violations, len(expected)
+    assert isinstance(view, Sequence) and not isinstance(view, list)
+    assert len(view) == n > 2
+    assert [view[i] for i in range(n)] == expected
+    assert [view[-i] for i in range(1, n + 1)] == expected[::-1]
+    assert view[1:3] == expected[1:3]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    assert list(view) == list(view) == expected  # it iterates again
+    assert view == expected and expected == view and view == view
+    assert view != expected[:-1] and view != tuple(expected)
+    assert repr(view) == repr(expected)
+    assert not hasattr(view, "append")
+    for copied in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(copied.violations) is type(view) and copied == report
+        assert list(copied.violations) == expected
+        assert copied.to_dict() == report.to_dict()
+        assert copied.text_lines() == report.text_lines()
+    passing = check_bivaluation_sum_rule(bivaluation_from_valuation(v))
+    assert passing.passed and passing.violations == [] and len(passing.violations) == 0
+    assert passing.to_dict()["violations"] == [] and len(passing.text_lines()) == 1
 
 
 @st.composite
@@ -1031,6 +1093,28 @@ def test_sum_rule_audit_holds_no_array_of_pairs():
     assert report.passed and report.checked == 130_816
     assert {"join", "meet"} <= set(lat._tables)
     assert peak < 12 * 2 ** 20
+
+
+def test_a_failing_report_holds_its_violations_packed():
+    # rank values +1 on every superset of {a,c,e} fail bisum in 24,576
+    # instances of B7; a RuleViolation each held 4.0 MiB, and an int key
+    # each with one side per failing pair class holds about 1.5 MiB
+    lat = boolean_lattice("abcdefg")
+    values = {e: 0 if e == "{}" else e.count(",") + 1 for e in lat.elements}
+    for e in values:
+        if {"a", "c", "e"} <= set(e.strip("{}").split(",")):
+            values[e] += 1
+    w = bivaluation_from_valuation(Valuation(lat, values), validate=False)
+    check_bivaluation_sum_rule(w)  # builds the tables and rows the audit reads
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = check_bivaluation_sum_rule(w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.violations) == 24_576
+    assert held < 2.5 * 2 ** 20
 
 
 def test_proved_audits_build_no_meet_table():

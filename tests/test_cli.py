@@ -342,6 +342,18 @@ def test_spacetime_sync(scene_path, capsys):
     assert code == 1 and json.loads(out)["synchronized"] is False
 
 
+def test_spacetime_sync_negative_range_needs_the_equals_form(scene_path, capsys):
+    # P32 and Q32 run over [-10, 800]; a separate -5,3 reads as a flag
+    code, out, err = invoke(capsys, "spacetime", "sync", "--scene", scene_path,
+                            "--chains", "P32,Q32", "--range=-5,3", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["synchronized"] is True
+    code, out, err = invoke(capsys, "spacetime", "sync", "--scene", scene_path,
+                            "--chains", "P32,Q32", "--range", "-5,3", "--format", "json")
+    assert code == 2 and out == ""
+    assert "argument --range: expected one argument" in err
+
+
 def test_spacetime_sync_empty_window_is_a_usage_error(scene_path, capsys):
     code, out, err = invoke(capsys, "spacetime", "sync", "--scene", scene_path,
                             "--chains", "P,Q", "--range", "5,2", "--format", "json")

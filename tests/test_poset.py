@@ -652,10 +652,11 @@ def drop_an_intent_bit(p):
     # with M = (a,), b's intent is empty, so join(a, b) == b; but a and b
     # have disjoint extents and no meet
     lambda: with_tables(build_poset("ab", []), ("a", "b"), ("a",)),
-    # with M = every element, a and b have disjoint intents and no join
+    # with M = every element, a and b have disjoint intents and no join, and
+    # no extent is every J
     lambda: with_tables(build_poset("0ab", [("0", "a"), ("0", "b")]),
                         ("a", "b"), ("0", "a", "b")),
-], ids=["C1", "C2", "C3", "C4", "C6-extents", "C6-intents"])
+], ids=["C1", "C2", "C3", "C4", "C6-extents", "C6-every-J"])
 def test_each_proof_condition_is_needed(make):
     """Each case fails one condition of Poset._consistency_holds and meets
     the others, and the enumeration fails on it: without that condition the
