@@ -60,16 +60,33 @@ tests those classes instead, in the row's arithmetic, so bit for bit: over
 the 2**k rows of B_k, (5**k - 3**k) / 2 classes for 2**k C(2**k, 2)
 instances. A failing class fails each instance in it, with its sides.
 
+Where ``_modular`` fails at a few positions S, the sum rules are still
+output-sensitive: v is its modular part plus a delta with support S, so
+a pair's residual is delta(x v y) + delta(x ^ y) - delta(x) - delta(y),
+0 unless x, y, x v y or x ^ y is in S. So check_sum_rule's block, and
+the block of each derived row t with S & down(t) not empty, lists only
+those candidate pairs, or pair classes, as its labels (_candidates): for
+each m in S the pairs that hold m, the pairs below m that join to m and
+those above m that meet in m, each an interval read from the extents or
+intents. The candidates' joins and meets are read from the certificate,
+so check_sum_rule builds no n x n table, and every other pair is
+counted, as in a proved row. A row with so many departures that the
+candidates would be most of its pairs tests all of them.
+
 A failing audit holds its violations packed, not as a RuleViolation each.
 The kernel keeps one int key per violating instance: its k ids' ranks in
 the sorted ``p.elements``, base n, most significant first, followed by
 the index of its sides, a digit below n**k. Sorting the keys sorts the
-instances as build_report does. It keeps a side (lhs, rhs, residual) only
-when ``found`` yields other side objects than the instance before, so the
+instances as build_report does. ``found`` yields, per failing label, the
+keys of all its instances as one list, built in one comprehension over
+a pair class's fibres, and the label's sides; the kernel adds the side's
+index to each key. It keeps a side (lhs, rhs, residual) only when
+``found`` yields other side objects than the label before, so the
 instances of a failing pair class share one side and its residual is
 computed once. The report's ``violations`` (_Violations) is a read-only
 sequence that builds each RuleViolation when it is read; to_dict and
-text_lines render from the keys and format each side once.
+text_lines render from the keys, one divmod chain per key, and format each
+side once.
 """
 from __future__ import annotations
 
@@ -77,8 +94,8 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, count, product, repeat
-from operator import add, floordiv, is_, lt, mod, mul, not_, or_, sub
+from itertools import chain, combinations, compress, count, repeat
+from operator import add, is_, lt, mul, or_, sub
 from typing import Union
 
 from ._record import Record, set_field
@@ -237,7 +254,7 @@ def _empty(raw) -> set[int]:
 
 
 def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
-            proved) -> RuleReport:
+            proved, arity) -> RuleReport:
     """Test one rule's instances, block by block, and report its violations.
 
     ``raw[t][x]`` is the value at the element in position x in the context
@@ -246,9 +263,12 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     _Derived row that no evaluated block reads is never divided.
     ``counts(empty)`` gives the rule's number of instances and the number
     in blocks that read no row of ``empty``, the set of empty rows.
-    ``proved`` has a bool per row: the caller vouches that a proved row
-    holds no hole and that no instance of a block reading only proved rows
-    violates, so such a block counts as checked and is not evaluated.
+    ``proved`` has per row None or a mask of positions, those where the
+    caller's proof leaves instances to evaluate: with the mask 0 the caller
+    vouches that the row holds no hole and that no instance of a block
+    reading only such rows violates, so such a block counts as checked and
+    is not evaluated; a row with any other mask is not proved, and only the
+    caller's blocks read its mask.
     ``blocks(unproved)`` yields, once each and in key order, the key, the
     rows it reads and the labels of each block that reads a row of
     ``unproved``, the non-empty rows that are not proved. Every instance of
@@ -267,15 +287,17 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     instances that read the very same objects; the caller vouches that
     such a class holds no hole and that the differences it leaves out,
     none where every difference is an instance, cannot violate.
-    ``found(rows, key, failing)`` yields the positions and raw sides, with
-    the block's operands in the block's order, of each instance that the
-    failing labels decide, reading the entries ``rows[t]`` of the rows the
-    block read; it runs only for a block that fails, so no block is
-    evaluated a second time. An undefined difference fails, and an
-    instance with an undefined side is skipped, not reported. So checked is
-    the number of instances in blocks that read no empty row less the
-    undefined instances of the evaluated blocks, and skipped is the rest of
-    the total.
+    ``found(rows, key, failing, digits)`` yields, for each failing label,
+    the packed keys of the instances it decides, as one list, and their
+    raw sides, with the block's operands in the block's order, reading the
+    entries ``rows[t]`` of the rows the block read; an instance's key is
+    the sum of ``digits[j][x]`` over its positions x, j counting from 0
+    (_digits), one of ``arity`` per instance. It runs only for a block that
+    fails, so no block is evaluated a second time. An undefined difference
+    fails, and an instance with an undefined side is skipped, not
+    reported. So checked is the number of instances in blocks that read no
+    empty row less the undefined instances of the evaluated blocks, and
+    skipped is the rest of the total.
     Violations are kept packed (module docstring): identical side objects
     give an identical residual, so sharing one side between them is exact.
     """
@@ -283,10 +305,10 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
     num, den = Fraction(tol).as_integer_ratio()
     empty = _empty(raw)
     total, checked = counts(empty)
-    unproved = set(compress(count(), map(not_, proved))).difference(empty)
+    unproved = {t for t, mask in enumerate(proved) if mask != 0}.difference(empty)
     n = len(raw)
     built, rows, scale, ones, inexact = [None] * n, [None] * n, [1] * n, [1] * n, set()
-    keys, sides, digits, weights, a0, b0 = [], [], None, (), None, None
+    keys, sides, digits, a0, b0 = [], [], None, None, None
     for key, reads, labels in blocks(unproved):
         if not empty.isdisjoint(reads):
             continue  # skipped whole, as counts says
@@ -308,32 +330,30 @@ def _kernel(rule, tol, p, raw, counts, blocks, block, found, signed=False, *,
         if not diffs or max(diffs) <= above and (signed or -above <= min(diffs)):
             continue
         failing = compress(labels, map(lt, repeat(above), diffs if signed else map(abs, diffs)))
-        for positions, a, b in found(built, key, failing):
+        digits = digits or _digits(p, arity)
+        for instances, a, b in found(built, key, failing, digits):
             if a is _UNDEFINED or b is _UNDEFINED:
-                checked -= 1
+                checked -= len(instances)
                 continue
             if a is not a0 or b is not b0:
                 a0, b0 = a, b
                 sides.append((a, b, a - b if signed else abs(a - b)))
-            if digits is None:
-                weights, digits = _digits(p, len(positions))
-            keys.append(sum(map(list.__getitem__, digits, positions), len(sides) - 1))
+            keys += map(add, instances, repeat(len(sides) - 1))
     keys.sort()
-    return RuleReport(rule, checked, tol, _Violations(p.elements, keys, sides, weights),
+    return RuleReport(rule, checked, tol, _Violations(p.elements, keys, sides, arity),
                       total - checked)
 
 
-def _digits(p: Poset, k: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The weights of a key's k digits, n**(2k - 1 - j) for digit j, and
-    each position's rank in p.elements, which are sorted, times each
-    weight. A key is the sum of its instance's digits and its side's
-    index, which is below n**k, as no more sides are kept than instances."""
+def _digits(p: Poset, k: int) -> list[list[int]]:
+    """Each position's rank in p.elements, which are sorted, times
+    n**(2k - 1 - j), for each of a key's k digits j. A key is the sum of
+    its instance's digits and its side's index, which is below n**k, as no
+    more sides are kept than instances."""
     n = len(p)
-    weights = tuple(n ** (2 * k - 1 - j) for j in range(k))
     rank = [0] * n
     for r, element in enumerate(p.elements):
         rank[p._pos[element]] = r
-    return weights, [[r * w for r in rank] for w in weights]
+    return [[r * n ** (2 * k - 1 - j) for r in rank] for j in range(k)]
 
 
 class _Violations(Sequence):
@@ -344,19 +364,22 @@ class _Violations(Sequence):
     built when it is read; ``dicts`` and ``lines``, which RuleReport
     renders, format each side once."""
 
-    __slots__ = ("_ids", "_keys", "_sides", "_weights")
+    __slots__ = ("_ids", "_keys", "_sides", "_k")
     __hash__ = None
 
-    def __init__(self, ids: tuple, keys: list[int], sides: list, weights: tuple):
-        self._ids, self._keys, self._sides, self._weights = ids, keys, sides, weights
+    def __init__(self, ids: tuple, keys: list[int], sides: list, k: int):
+        self._ids, self._keys, self._sides, self._k = ids, keys, sides, k
 
     def _split(self, keys, sides):
         """(instance, sides[i]) for each key: its ids, and the entry of its
-        side's index i in ``sides``, a list with one entry per side."""
-        ids, n, weights = self._ids, len(self._ids), self._weights
-        digits = [map(ids.__getitem__, map(mod, map(floordiv, keys, repeat(w)), repeat(n)))
-                  for w in weights]
-        return zip(zip(*digits), map(sides.__getitem__, map(mod, keys, repeat(n ** len(weights)))))
+        side's index i in ``sides``, a list with one entry per side; one
+        divmod chain per key, from its lowest digit up."""
+        ids, n = self._ids, len(self._ids)
+        split = map(divmod, keys, repeat(n ** self._k))
+        if self._k == 2:
+            return (((ids[a], ids[b]), sides[i]) for q, i in split for a, b in [divmod(q, n)])
+        return (((ids[a], ids[b], ids[c]), sides[i]) for q, i in split
+                for q, c in [divmod(q, n)] for a, b in [divmod(q, n)])
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -378,7 +401,7 @@ class _Violations(Sequence):
         return repr(list(self))
 
     def __reduce__(self):
-        return _Violations, (self._ids, self._keys, self._sides, self._weights)
+        return _Violations, (self._ids, self._keys, self._sides, self._k)
 
     def dicts(self) -> list[dict]:
         """[v.to_dict() for v in self], each side made JSON-ready once."""
@@ -469,14 +492,51 @@ def _modular(p: Poset, values) -> int:
     return sum(1 << x for x, e, total in zip(count(), ints, sums) if e != total)
 
 
+# the share of a down-set at which its departures make _sum_rule test every
+# pair; measured near the break-even at B8 and B10 (CPython 3.11)
+_DENSE = 16
+
+
+def _candidates(p: Poset, s: int, d: list[int], within: int) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, of the positions d of ``within``, a
+    down-set of the distributive lattice p, where a valuation v that
+    departs from its modular part r only at the positions of the mask s,
+    inside within, can break the sum rule; in increasing order.
+
+    As r keeps the sum rule exactly (_modular), a pair's residual is
+    delta(x v y) + delta(x ^ y) - delta(x) - delta(y), delta = v - r, which
+    is 0 unless one of the four is some m in s: the pairs that hold m,
+    those below m whose join is m and those above m whose meet is m. As
+    ext(x v y) = ext(x) | ext(y), the y <= m with x v y = m, for an
+    x <= m, are the interval from the join of the J in ext(m) - ext(x) up
+    to m; dually, as int(x ^ y) = int(x) | int(y), the y >= m with
+    x ^ y = m are the interval from m up to the meet of the M in
+    int(m) - int(x). A pair is listed once, however many m it touches."""
+    c, n, found = p._require_lattice(), len(p), set()
+    ext, intent, down, up = c.extent, c.intent, p._down_t, p._up_t
+    jext = [ext[j] for j in c.join_irreducibles].__getitem__
+    mint = [intent[m] for m in c.meet_irreducibles].__getitem__
+    for m in _bits(s):
+        found.update(m * n + y if m < y else y * n + m for y in d)
+        for x in _bits(down[m]):
+            lo = c.by_extent[reduce(or_, map(jext, _bits(ext[m] & ~ext[x])), 0)]
+            found.update(x * n + y if x < y else y * n + x for y in _bits(up[lo] & down[m]))
+        for x in _bits(up[m] & within):
+            hi = c.by_intent[reduce(or_, map(mint, _bits(intent[m] & ~intent[x])), 0)]
+            found.update(x * n + y if x < y else y * n + x
+                         for y in _bits(down[hi] & up[m] & within))
+        found.discard(m * n + m)  # (m, m), the one pair with a repeated position
+    return [divmod(key, n) for key in sorted(found)]
+
+
 def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
     """The sum rule in each context, each row of raw that is not None;
     instances (x, y) or (t, x, y), ids x < y.
 
-    Row t's block (t, d) tests the pairs (a, b) of d, a before b, which
-    label its differences in the order combinations(d, 2) lists them. d lists
-    every id, so that each pair is an instance, unless row t is a _Derived
-    on a distributive lattice, and so diamond-exact. Then d is t's
+    Row t's block (t, d, pairs) tests the pairs (a, b) of d, a before b,
+    which label its differences in the order combinations(d, 2) lists them.
+    d lists every id, so that each pair is an instance, unless row t is a
+    _Derived on a distributive lattice, and so diamond-exact. Then d is t's
     down-set and each pair is a class: the instance (t, x, y) reads the
     very objects of class (x ^ t, y ^ t), because row t holds at x v y what
     it holds at (x v y) ^ t = (x ^ t) v (y ^ t), and at x ^ y what it holds
@@ -485,6 +545,14 @@ def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
     sum with itself and never fails, so it is not listed, and a failing
     class (a, b) fails each instance with x ^ t = a and y ^ t = b, with the
     class's sides.
+
+    Where ``proved[t]`` is a mask S, row t departs from a row that keeps the
+    rule only at S (check_sum_rule, _proved), and its block lists only the
+    candidate pairs of d (_candidates) instead of every pair: the others
+    cannot fail, as the callers show. A row whose S holds more than
+    len(d) / _DENSE positions tests every pair: each element of S adds
+    about len(d) candidates, each listed at several times the cost of
+    streaming one pair.
     """
     n, ids = len(p), [p._pos[e] for e in p.elements]
     size = n * (n - 1) // 2
@@ -498,11 +566,27 @@ def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
             if t in unproved:
                 classes = type(raw[t]) is _Derived and _distributive(p)
                 d = _table(p, "down")[t] if classes else ids
-                yield (t, d), (t,), combinations(d, 2)
+                s = proved[t]
+                pairs = (None if s is None or _DENSE * s.bit_count() > len(d) else
+                         _candidates(p, s, d, p._down_t[t] if classes else p._full))
+                yield (t, d, pairs), (t,), combinations(d, 2) if pairs is None else pairs
 
-    def sides(row, d):
-        """row[a v b] + row[a ^ b] and row[a] + row[b] over the pairs (a, b) of
-        d, a before b, made one list per a."""
+    def sides(row, pairs):
+        """row[a v b] + row[a ^ b] and row[a] + row[b] for each pair (a, b),
+        the join and meet read from the certificate, as Poset.join and
+        Poset.meet read them."""
+        c = p._context
+        ext, intent, by_extent, by_intent = c.extent, c.intent, c.by_extent, c.by_intent
+        return ([row[by_intent[intent[a] & intent[b]]] + row[by_extent[ext[a] & ext[b]]]
+                 for a, b in pairs], [row[a] + row[b] for a, b in pairs])
+
+    def block(rows, scale, key):
+        """The sides of the listed pairs, or of every pair of d, a before b,
+        made one list per a from the join and meet tables."""
+        t, d, pairs = key
+        row = rows[t]
+        if pairs is not None:
+            return sides(row, pairs)
         join, meet = _table(p, "join"), _table(p, "meet")
         firsts = zip(count(1), map(join.__getitem__, d), map(meet.__getitem__, d))
         return (chain.from_iterable([row[join_a[b]] + row[meet_a[b]] for b in d[i:]]
@@ -510,22 +594,21 @@ def _sum_rule(rule: str, p: Poset, raw, tol, proved) -> RuleReport:
                 chain.from_iterable([at_a + row[b] for b in d[i:]]
                                     for i, at_a in enumerate(map(row.__getitem__, d), 1)))
 
-    def block(rows, scale, key):
-        t, d = key
-        return sides(rows[t], d)
-
-    def found(rows, key, pairs):
-        t, d = key
-        row, fiber = rows[t], {}
+    def found(rows, key, pairs, digits):
+        t, d, _ = key
+        fiber, pairs = {}, list(pairs)
         # fiber[m] holds the x with x ^ t = m, or m alone when d is every id
         for x, m in enumerate(range(n) if d is ids else _table(p, "meet")[t]):
             fiber.setdefault(m, []).append(x)
-        for a, b in pairs:
-            lhs, rhs = map(next, sides(row, (a, b)))
-            for x, y in product(fiber[a], fiber[b]):
-                x, y = (x, y) if p._at[x] < p._at[y] else (y, x)
-                yield (x, y) if rule == "sum" else (t, x, y), lhs, rhs
-    return _kernel(rule, tol, p, raw, counts, blocks, block, found, proved=proved)
+        first, second = digits[-2:]  # x's and y's; t's comes first in bisum
+        base = digits[0][t] if rule == "bisum" else 0
+        # instance (x, y) takes the lower rank first, and first[] is monotone
+        # in rank
+        for (a, b), lhs, rhs in zip(pairs, *sides(rows[t], pairs)):
+            yield [base + (first[x] + second[y] if first[x] < first[y] else
+                           first[y] + second[x]) for x in fiber[a] for y in fiber[b]], lhs, rhs
+    return _kernel(rule, tol, p, raw, counts, blocks, block, found, proved=proved,
+                   arity=2 if rule == "sum" else 3)
 
 
 def _valuation_row(v: Valuation) -> list:
@@ -543,12 +626,14 @@ def check_sum_rule(v: Valuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     row _arithmetic names, the kernel then adds each side exactly, or
     rounds both to the same float or overflows both to the same infinity,
     so each difference is 0 or NaN, which no tolerance fails. So the pairs
-    are counted, not evaluated. The lattice is certified first, so a poset
-    that is not one is refused whatever values are defined."""
+    are counted, not evaluated. The same holds for each pair that touches
+    no position of _modular's mask, so only the pairs that touch one are
+    evaluated (_sum_rule). The lattice is certified first, so a poset that
+    is not one is refused whatever values are defined."""
     p, row = v.poset, _valuation_row(v)
     p._require_lattice()
-    proved = _arithmetic(row) and _distributive(p) and not _modular(p, row)
-    return _sum_rule("sum", p, [row], tol, [proved])
+    departs = _modular(p, row) if _arithmetic(row) and _distributive(p) else None
+    return _sum_rule("sum", p, [row], tol, [departs])
 
 
 def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
@@ -577,11 +662,11 @@ def check_monotone(v: Valuation, tol: Value = 0) -> RuleReport:
     def block(rows, scale, y):
         return map(rows[0].__getitem__, _table(p, "down")[y][:-1]), repeat(rows[0][y])
 
-    def found(rows, y, xs):
+    def found(rows, y, xs, digits):
         for x in xs:
-            yield (x, y), rows[0][x], rows[0][y]
+            yield [digits[0][x] + digits[1][y]], rows[0][x], rows[0][y]
     return _kernel("monotone", tol, p, [row], counts, blocks, block, found, signed=True,
-                   proved=[proved])
+                   proved=[0 if proved else None], arity=2)
 
 
 def check_product_rule_for_lattice_product(vP: Valuation, vQ: Valuation,
@@ -725,12 +810,14 @@ def bivaluation_from_valuation(v: Valuation, tol: Value = DEFAULT_TOL,
     return w
 
 
-def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
-    """Whether each row of w is derived and no instance of w's chain,
-    diamond and context rules, and with ``modular`` of its per-context sum
-    rule on a distributive lattice, that reads only such rows can violate
-    at tol (module docstring). The sum rule holds below row t when no
-    position x <= t is in _modular's mask. With ``modular`` it decides
+def _proved(w: BiValuation, tol, modular=False) -> list[int | None]:
+    """For each row of w, 0 if it is derived and no instance of w's chain,
+    diamond and context rules that reads only such rows can violate at tol
+    (module docstring), and None otherwise. With ``modular``, for w's
+    per-context sum rule on a distributive lattice, such a row gets the
+    positions x <= t of _modular's mask instead of 0: the sum rule holds
+    below row t, exactly, for every pair class that touches none of them,
+    and in floats within the bound below. With ``modular`` it decides
     distributivity first, so a poset that is not a lattice raises
     NotALattice; without, it reads no meet or join. The values are those
     of any derived row: bivaluation_from_valuation gives each row the same
@@ -750,7 +837,7 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
     gradual underflow adds at most 2**-1075 to a rounding). So any
     tolerance of at least 2**-49 M passes them; M stays at most 2**1000, so
     no quotient or product overflows."""
-    none = [False] * len(w._rows)
+    none = [None] * len(w._rows)
     if modular and not _distributive(w.poset):
         return none
     derived = [type(row) is _Derived for row in w._rows]
@@ -766,9 +853,9 @@ def _proved(w: BiValuation, tol, modular=False) -> list[bool]:
         if not (m <= 2 ** 1000 and tol >= m / 2 ** 49):
             return none
     if not modular:
-        return derived
+        return [0 if d else None for d in derived]
     bad = _modular(w.poset, values)
-    return [d and not down & bad for d, down in zip(derived, w.poset._down_t)]
+    return [down & bad if d else None for d, down in zip(derived, w.poset._down_t)]
 
 
 def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -795,11 +882,13 @@ def check_chain_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
         return (_times(map(rows[z].__getitem__, down_y), scale[y]),
                 map(mul, map(rows[y].__getitem__, down_y), repeat(rows[z][y])))
 
-    def found(rows, key, xs):
+    def found(rows, key, xs, digits):
         z, y = key
+        first, second, third = digits
         for x in xs:
-            yield (x, y, z), rows[z][x], rows[y][x] * rows[z][y]
-    return _kernel("chain", tol, p, raw, counts, blocks, block, found, proved=_proved(w, tol))
+            yield [first[x] + second[y] + third[z]], rows[z][x], rows[y][x] * rows[z][y]
+    return _kernel("chain", tol, p, raw, counts, blocks, block, found, proved=_proved(w, tol),
+                   arity=3)
 
 
 def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -811,12 +900,12 @@ def check_diamond_lemma(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     def block(rows, scale, x):
         return rows[x], map(rows[x].__getitem__, _table(p, "meet")[x])
 
-    def found(rows, x, ys):
-        meet_x = _table(p, "meet")[x]
-        return (((x, y), rows[x][y], rows[x][meet_x[y]]) for y in ys)
+    def found(rows, x, ys, digits):
+        meet_x, first, second = _table(p, "meet")[x], *digits
+        return (([first[x] + second[y]], rows[x][y], rows[x][meet_x[y]]) for y in ys)
     return _kernel("diamond", tol, p, raw, lambda empty: (n * n, n * (n - len(empty))),
                    lambda unproved: ((x, (x,), range(n)) for x in sorted(unproved)),
-                   block, found, proved=_proved(w, tol))
+                   block, found, proved=_proved(w, tol), arity=2)
 
 
 def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
@@ -876,20 +965,22 @@ def check_context_product_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> Rule
         return (_times(map(rows[x].__getitem__, meet[y]), scale[xy]),
                 map(mul, rows[xy], repeat(rows[x][y])))
 
-    def found(rows, key, zs):
+    def found(rows, key, zs, digits):
         x, y = key
-        meet = _table(p, "meet")
+        meet, (first, second, third) = _table(p, "meet"), digits
         for z in zs:
-            yield (x, y, z), rows[x][meet[y][z]], rows[meet[x][y]][z] * rows[x][y]
+            yield ([first[x] + second[y] + third[z]], rows[x][meet[y][z]],
+                   rows[meet[x][y]][z] * rows[x][y])
     return _kernel("context", tol, p, raw, counts, blocks, block, found,
-                   proved=_proved(w, tol))
+                   proved=_proved(w, tol), arity=3)
 
 
 def check_bivaluation_sum_rule(w: BiValuation, tol: Value = DEFAULT_TOL) -> RuleReport:
     """Audit the sum rule inside every available context t; instances (t, x, y).
 
-    Only a distributive lattice proves a row or tests it on its pair
-    classes, and there every derived row is diamond-exact. _proved decides
+    Only a distributive lattice proves a row, lists its candidate pair
+    classes or tests it on all of them, and there every derived row is
+    diamond-exact. _proved decides
     distributivity first, so a poset that is not a lattice is refused
     before any row is read."""
     return _sum_rule("bisum", w.poset, w._rows, tol, _proved(w, tol, modular=True))

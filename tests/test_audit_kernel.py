@@ -524,17 +524,21 @@ def test_float_audits_at_the_rounding_bound_match_reference_loops(v, below):
     assert_audits_agree(v, bivaluation_from_valuation(v, tol, validate=False), tol)
 
 
-def pair_classes(rule, p, key):
-    """Whether the kernel block key of rule tests the pair classes of a
-    context's down-set rather than its instances."""
-    return rule == "bisum" and key[1] is valuation._table(p, "down")[key[0]]
+def block_kind(rule, p, key):
+    """What the kernel block key of rule tests: "candidates" for a sum-rule
+    block that lists only the pairs, or bisum pair classes, where the
+    valuation departs from its modular part; "stand-in" for a bisum block
+    of every pair class of a context's down-set, which stand in for the
+    instances; and "block" for any other block of instances."""
+    if rule in ("sum", "bisum") and key[2] is not None:
+        return "candidates"
+    return "stand-in" if rule == "bisum" and key[1] is valuation._table(p, "down")[key[0]] \
+        else "block"
 
 
 def kernel_blocks(monkeypatch):
     """A dict, filled as audits run, from each rule whose kernel evaluates
-    a block to what it evaluated, in order: ("block", rows read) for a
-    block of instances and ("stand-in", rows read) for a bisum block of
-    pair classes, which stand in for the instances."""
+    a block to what it evaluated, in order: (block_kind, rows read)."""
     ran, kernel = {}, valuation._kernel
 
     def spy(rule, tol, p, raw, counts, blocks, block, *rest, **options):
@@ -546,8 +550,7 @@ def kernel_blocks(monkeypatch):
                 yield key, rows, labels
 
         def evaluate(rows, scale, key):
-            kind = "stand-in" if pair_classes(rule, p, key) else "block"
-            ran.setdefault(rule, []).append((kind, reads[id(key)]))
+            ran.setdefault(rule, []).append((block_kind(rule, p, key), reads[id(key)]))
             return block(rows, scale, key)
         return kernel(rule, tol, p, raw, counts, listed, evaluate, *rest, **options)
     monkeypatch.setattr(valuation, "_kernel", spy)
@@ -647,11 +650,11 @@ def test_only_a_distributive_lattice_reduces_the_bisum_audit(monkeypatch, name):
     def spy(rule, tol, p, raw, counts, blocks, block, *rest, **options):
         def listed(unproved):
             keys = list(blocks(unproved))
-            handed.append(any(pair_classes(rule, p, key) for key, _, _ in keys))
+            handed.append(any(block_kind(rule, p, key) != "block" for key, _, _ in keys))
             return keys
 
         def evaluate(rows, scale, key):
-            if pair_classes(rule, p, key):
+            if block_kind(rule, p, key) != "block":
                 tested.append(key[:1])
             return block(rows, scale, key)
         return kernel(rule, tol, p, raw, counts, listed, evaluate, *rest, **options)
@@ -747,6 +750,113 @@ def test_a_lattice_that_does_not_distribute_never_runs_modular(monkeypatch, name
                                ref.check_bivaluation_sum_rule(derived(v), tol))
 
 
+# --- sum rules evaluated where the valuation departs from modular ---
+
+def touching(lat, s, t):
+    """The pairs (a, b), positions a < b below t, with a, b, a v b or a ^ b
+    in the mask s, by the public join and meet: those whose sum-rule
+    residual can be non-zero when v departs from modular only at s."""
+    at, pos = lat._at, lat._pos
+    below = [x for x in range(len(lat)) if lat._down_t[t] >> x & 1]
+    return [(a, b) for a in below for b in below if a < b
+            and any(s >> x & 1 for x in (a, b, pos[lat.join(at[a], at[b])],
+                                         pos[lat.meet(at[a], at[b])]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DISTRIBUTIVE | {"B2xC3"})), st.data())
+def test_candidates_are_the_pairs_that_touch_a_departure(name, data):
+    # exactly the pairs that touch s, each once, below any context t, for
+    # sparse and dense masks alike; d lists the down-set in either order
+    lat = LATTICES[name]
+    n = len(lat)
+    t = data.draw(st.integers(0, n - 1))
+    s = lat._down_t[t] & data.draw(st.integers(0, (1 << n) - 1))
+    d = [x for x in range(n) if lat._down_t[t] >> x & 1]
+    if data.draw(st.booleans()):
+        d.reverse()
+    assert valuation._candidates(lat, s, d, lat._down_t[t]) == touching(lat, s, t)
+
+
+@st.composite
+def departing_valuations(draw):
+    """A valuation on a distributive lattice: a modular part, the sums of
+    weights on the join-irreducibles, plus a sparse departure at no
+    position, at one, at a few, at every one, at the bottom or at the top;
+    in ints, Fractions or floats k / 16, whose sums are exact."""
+    lat = LATTICES[draw(st.sampled_from(sorted(DISTRIBUTIVE | {"B2xC3"})))]
+    n, size = len(lat), len(lat.join_irreducibles())
+    unit = draw(st.sampled_from([1, Fraction(1, 3), 1 / 16]))
+    v = irreducible_sums(lat, [unit * k for k in draw(
+        st.lists(st.integers(1, 40), min_size=size, max_size=size))])
+    spots = draw(st.sampled_from(["none", "one", "few", "every", "bottom", "top"]))
+    if spots in ("one", "few"):
+        positions = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=1 if spots == "one" else 4))
+    else:
+        positions = {"none": [], "every": range(n), "bottom": [0], "top": [n - 1]}[spots]
+    values = dict(v.values)
+    for x in positions:
+        values[lat._at[x]] += unit * draw(st.integers(1, 3))
+    return Valuation(lat, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(departing_valuations(), st.sampled_from([0, valuation.DEFAULT_TOL]), st.booleans())
+def test_sum_rules_of_sparse_departures_match_reference_loops(v, tol, listed):
+    # a row lists its candidates only where its departures are sparse
+    # enough to pay; with _DENSE at 0 every proved row lists them, on these
+    # small lattices too
+    w = derived(v)
+    with pytest.MonkeyPatch.context() as patch:
+        if listed:
+            patch.setattr(valuation, "_DENSE", 0)
+        assert_same_report(check_sum_rule(v, tol), ref.check_sum_rule(v, tol))
+        assert_same_report(check_bivaluation_sum_rule(w, tol),
+                           ref.check_bivaluation_sum_rule(w, tol))
+
+
+def test_a_pair_that_touches_two_departures_is_reported_once(monkeypatch):
+    # ({a,b}, {c}) holds one raised element and joins to the other, and
+    # ({a,b,c}, {a,b,d}) holds one and meets in the other, so each is a
+    # candidate of both. (A raised join-irreducible would move the modular
+    # part, which _modular reads from the join-irreducibles, and so every
+    # element above it.)
+    lat = REDUCED_LATTICES["B5"]
+    v = ranks(lat)
+    v = v.replace("{a,b}", v("{a,b}") + 1).replace("{a,b,c}", v("{a,b,c}") + 2)
+    ran = kernel_blocks(monkeypatch)
+    for tol in (0, valuation.DEFAULT_TOL):
+        report = check_sum_rule(v, tol)
+        assert_same_report(report, ref.check_sum_rule(v, tol))
+        instances = [x.instance for x in report.violations]
+        assert len(set(instances)) == len(instances)
+        assert {("{a,b}", "{c}"), ("{a,b,c}", "{a,b,d}")} <= set(instances)
+    assert ran == {"sum": [("candidates", (0,))] * 2}
+
+
+def test_a_sum_rule_with_one_departure_builds_no_table():
+    # rank values with {a,b,c,d,e,f} raised by 1 break B10's sum rule in
+    # 1,271 pairs: the 945 that hold it and an element incomparable with it,
+    # the 301 below it that join to it and the 25 above it that meet in it.
+    # Evaluating every pair read two n x n tables, over 16 MiB; the 3,300
+    # candidates need a few hundred KiB
+    atoms = "abcdefghij"
+    lat = boolean_lattice(atoms)
+    values = {e: 0 if e == "{}" else e.count(",") + 1 for e in lat.elements}
+    values["{a,b,c,d,e,f}"] += 1
+    v = Valuation(lat, values)
+    lat.is_lattice()  # the certificate is the poset's, not the audit's
+    tracemalloc.start()
+    try:
+        report = check_sum_rule(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.checked, report.skipped, len(report.violations)) == (523_776, 0, 1271)
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("change", ["shifted", "changed quotient"])
 @pytest.mark.parametrize("name", ["B4", "D60"])
 def test_failing_stand_ins_decide_diamond_exact_rows(monkeypatch, name, change):
@@ -790,13 +900,16 @@ def test_a_changed_row_evaluates_only_the_blocks_that_read_it(monkeypatch):
                    "diamond": [("block", (c,))], "bisum": [("block", (c,))]}
 
     # v shifted at e keeps its sum rule below every t but those above e,
-    # whose bisum rows stand on their pair classes
+    # whose bisum rows stand on their pair classes; the sum rule and each
+    # row but e's test only the pairs that e can break. Row e holds 8
+    # elements, too few for one departure to pay for listing candidates
     ran.clear()
     e = lat._pos["{a,b,c}"]
     shifted = v.replace("{a,b,c}", v("{a,b,c}") + Fraction(1, 4))
     assert_audits_agree(shifted, derived(shifted), 0)
-    assert ran == {"sum": [("block", (0,))],
-                   "bisum": [("stand-in", (t,)) for t in range(n) if lat._down_t[t] >> e & 1]}
+    assert ran == {"sum": [("candidates", (0,))],
+                   "bisum": [("stand-in" if t == e else "candidates", (t,))
+                             for t in range(n) if lat._down_t[t] >> e & 1]}
 
 
 def test_violation_sides_keep_their_json_types():
@@ -844,15 +957,18 @@ def test_built_rows_share_their_quotients_and_copied_rows_do_not():
     assert rows(changed)[ab] is not rows(w)[ab]
     assert len({id(row.values) for u in (w, changed) for row in u._rows[1:]
                 if type(row) is valuation._Derived}) == 1
-    assert valuation._proved(changed, 1.0) == [t not in (0, ab) for t in range(len(lat))]
+    # (None for a row with no proof, and 0 for a proved one, whose
+    # valuation departs from its modular part nowhere)
+    assert valuation._proved(changed, 1.0) == [None if t in (0, ab) else 0
+                                               for t in range(len(lat))]
     # a hole makes its row a list too, and w keeps its own rows
     holed = w.with_value("{c}", "{a,b}", None)
     assert plain(holed) == ["{}", "{a,b}"] and plain(w) == ["{}"]
-    assert valuation._proved(w, 1.0) == [False] + [True] * top
+    assert valuation._proved(w, 1.0) == [None] + [0] * top
     # a table copied from w has no derived row, so no source and no proof
     copied = BiValuation(lat, w.table)
     assert len(plain(copied)) == len(lat)
-    assert valuation._proved(copied, 1.0) == [False] * len(lat)
+    assert valuation._proved(copied, 1.0) == [None] * len(lat)
 
 
 def row_builds(monkeypatch):
@@ -892,7 +1008,7 @@ def test_rows_are_built_only_when_read(monkeypatch, name, kind):
     w = derived(v)
     reports = [check(w, tol) for check, _ in BIVALUATION_RULES]
     assert len(w.table) == len(lat) * len(w.contexts()) == len(lat) * (len(lat) - 1)
-    assert valuation._proved(w, tol, modular=True)[1:] == [True] * (len(lat) - 1)
+    assert valuation._proved(w, tol, modular=True)[1:] == [0] * (len(lat) - 1)
     assert built == []
     for report, (_, reference) in zip(reports, BIVALUATION_RULES):
         assert_same_report(report, reference(w, tol))
